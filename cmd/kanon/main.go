@@ -43,11 +43,10 @@ func main() {
 		nearest    = flag.Bool("nearest", false, "seed (k,k)/global with Algorithm 3 instead of Algorithm 4")
 		verify     = flag.Bool("verify", false, "verify the output against all notions (quadratic)")
 		attackRpt  = flag.Bool("attack", false, "run the adversarial evaluation suite against the output and print the risk report (quadratic)")
-		diversity  = flag.Int("diversity", 0, "require distinct ℓ-diversity of the sensitive attribute (needs -sensitive)")
 		constraint = flag.String("constraint", "", "privacy constraints on the sensitive attribute, comma-separated name=value specs: distinct=L, entropy=L, recursive=C/L, tclose=T (needs -sensitive)")
 		lFlag      = flag.Int("l", 0, "shorthand for -constraint distinct=L")
 		tFlag      = flag.Float64("t", -1, "shorthand for -constraint tclose=T")
-		sensPath   = flag.String("sensitive", "", "file with one sensitive value per record (enables -diversity and -constraint)")
+		sensPath   = flag.String("sensitive", "", "file with one sensitive value per record (enables -constraint, -l and -t)")
 		autoHier   = flag.Int("auto-hier", 0, "infer interval hierarchies for numeric attributes (base bucket width, 0=off)")
 		workers    = flag.Int("workers", 0, "worker pool size for the parallel anonymizers (0 = all CPUs, 1 = sequential; output is identical)")
 		kernel     = flag.String("kernel", "on", "flat distance kernel for the agglomerative engine: on, off (output is identical)")
@@ -73,7 +72,6 @@ func main() {
 		Forest:     *forest,
 		FullDomain: *fullDom,
 		UseNearest: *nearest,
-		Diversity:  *diversity,
 		Workers:    *workers,
 		NoKernel:   *kernel == "off",
 		MaxChunk:   *maxChunk,
@@ -157,6 +155,8 @@ func flagFor(field string) string {
 		return "full-domain"
 	case "MaxChunk":
 		return "max-chunk"
+	case "UseNearest":
+		return "nearest"
 	case "RetryPolicy":
 		return "retries"
 	case "ShardDeadline":

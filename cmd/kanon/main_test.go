@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -145,7 +148,7 @@ func TestRunDiversity(t *testing.T) {
 	sens := writeFile(t, dir, "sens.txt", "flu\ncancer\nflu\ncancer\nflu\ncancer\n")
 	out := filepath.Join(dir, "out.csv")
 	err := run(nil, runConfig{In: in, Hier: hier, Out: out, Sensitive: sens, Header: true, Verify: true,
-		Opt: kanon.Options{K: 2, Notion: kanon.NotionKK, Diversity: 2}})
+		Opt: kanon.Options{K: 2, Notion: kanon.NotionKK, Constraints: []kanon.Constraint{kanon.DistinctDiversity(2)}}})
 	if err != nil {
 		t.Fatalf("diversity run: %v", err)
 	}
@@ -193,11 +196,36 @@ func TestFlagFor(t *testing.T) {
 	for field, flag := range map[string]string{
 		"K": "k", "Notion": "notion", "Measure": "measure",
 		"Distance": "distance", "Forest": "forest",
-		"FullDomain": "full-domain", "Diversity": "diversity",
+		"FullDomain": "full-domain", "MaxChunk": "max-chunk", "UseNearest": "nearest",
+		"Constraints": "constraint",
 	} {
 		if got := flagFor(field); got != flag {
 			t.Errorf("flagFor(%q) = %q, want %q", field, got, flag)
 		}
+	}
+}
+
+// TestRejectedFlagExitsTwo runs the CLI (re-executing the test binary as
+// kanon) with -notion kk -max-chunk 64: validation must reject the
+// combination before reading any input, exit with status 2 and name
+// -max-chunk.
+func TestRejectedFlagExitsTwo(t *testing.T) {
+	if os.Getenv("KANON_TEST_MAIN") == "1" {
+		os.Args = []string{"kanon", "-notion", "kk", "-max-chunk", "64"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRejectedFlagExitsTwo$")
+	cmd.Env = append(os.Environ(), "KANON_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2 (stderr %q)", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-max-chunk") {
+		t.Errorf("stderr %q does not name -max-chunk", stderr.String())
 	}
 }
 

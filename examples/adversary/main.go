@@ -60,25 +60,25 @@ func main() {
 			return g
 		}},
 		{"k-anonymity (agglomerative)", func() *table.GenTable {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, err := core.KAnonymizeCtx(nil, s, ds.Table, core.KAnonOptions{K: k})
 			if err != nil {
 				log.Fatal(err)
 			}
 			return g
 		}},
 		{"(k,k)-anonymity", func() *table.GenTable {
-			g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
 			return g
 		}},
 		{"global (1,k)-anonymity", func() *table.GenTable {
-			g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 			if err != nil {
 				log.Fatal(err)
 			}
-			g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+			g, _, err = core.MakeGlobal1KCtx(nil, s, ds.Table, g, k)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -139,5 +139,5 @@ reading the table:
 	fmt.Printf("\ninformed adversary (knows %d private values) vs the GLOBAL release:\n", len(known))
 	fmt.Printf("  %d of %d records now link to fewer than k rows (min candidates %d)\n", below, n, minC)
 	fmt.Println("  no k-type notion bounds an adversary with private-value knowledge —")
-	fmt.Println("  that threat needs l-diversity (see Options.Diversity) or stronger.")
+	fmt.Println("  that threat needs l-diversity (see Options.Constraints) or stronger.")
 }

@@ -135,35 +135,18 @@ func (st AggloStats) TotalNanos() int64 {
 	return st.InitNanos + st.SelectNanos + st.RepairNanos + st.AbsorbNanos
 }
 
-// Agglomerate runs the basic agglomerative algorithm (Algorithm 1) — or,
-// when opt.Modified is set, the modified agglomerative algorithm
+// AgglomerateCtx runs the basic agglomerative algorithm (Algorithm 1) —
+// or, when opt.Modified is set, the modified agglomerative algorithm
 // (Algorithm 2) — and returns the final clustering γ: disjoint clusters
 // covering all records, each of size ≥ K (exactly K for all but the
-// leftover-absorbing clusters in the modified variant).
-func Agglomerate(s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, error) {
-	clusters, _, err := AgglomerateStats(s, tbl, opt)
-	return clusters, err
-}
-
-// AgglomerateCtx is Agglomerate under a context. The engine polls ctx at
-// every scan, merge and absorb boundary (the Site* constants); once ctx is
-// done it stops promptly, drains its worker pool, and returns ctx.Err()
-// with a nil clustering — never partial output.
-func AgglomerateCtx(ctx context.Context, s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, error) {
-	clusters, _, err := AgglomerateStatsCtx(ctx, s, tbl, opt)
-	return clusters, err
-}
-
-// AgglomerateStats is Agglomerate returning the engine's work counters and
-// phase timings alongside the clustering.
-func AgglomerateStats(s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, AggloStats, error) {
-	return AgglomerateStatsCtx(nil, s, tbl, opt)
-}
-
-// AgglomerateStatsCtx is AgglomerateCtx returning the engine's work
-// counters and phase timings alongside the clustering. A nil ctx disables
-// cancellation.
-func AgglomerateStatsCtx(ctx context.Context, s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, AggloStats, error) {
+// leftover-absorbing clusters in the modified variant), together with the
+// engine's work counters and phase timings.
+//
+// The engine polls ctx at every scan, merge and absorb boundary (the Site*
+// constants); once ctx is done it stops promptly, drains its worker pool,
+// and returns ctx.Err() with a nil clustering — never partial output. A nil
+// ctx disables cancellation.
+func AgglomerateCtx(ctx context.Context, s *Space, tbl *table.Table, opt AggloOptions) ([]*Cluster, AggloStats, error) {
 	stats := AggloStats{Workers: par.Workers(opt.Workers)}
 	n := tbl.Len()
 	if opt.Distance == nil {
@@ -667,7 +650,7 @@ func (e *aggloEngine) bestLive() int {
 		}
 		return best
 	}
-	spans := e.pool.ForSpans(m, selectGrain, func(lo, hi, w int) {
+	spans, _ := e.pool.ForSpansCtx(nil, m, selectGrain, func(lo, hi, w int) {
 		best, bestDist := -1, math.Inf(1)
 		for i := lo; i < hi; i++ {
 			if e.alive[i] && e.nn1[i] >= 0 && e.d1[i] < bestDist {
@@ -743,7 +726,7 @@ func (e *aggloEngine) scanNNWide(i int) {
 		e.o.Event(obs.KindScan, PhaseMerge, 0)
 		return
 	}
-	spans := e.pool.ForSpans(m, wideScanGrain, func(lo, hi, w int) {
+	spans, _ := e.pool.ForSpansCtx(nil, m, wideScanGrain, func(lo, hi, w int) {
 		e.spanCand[w], e.spanEvals[w] = e.scanRange(i, lo, hi)
 	})
 	best := nnCand{nn1: -1, nn2: -1, d1: math.Inf(1), d2: math.Inf(1)}
@@ -796,7 +779,7 @@ func (e *aggloEngine) repairNN(a, b int, added []int) {
 	}
 	needScan := e.needScan[:m]
 
-	e.pool.ForSpans(m, repairGrain, func(lo, hi, _ int) {
+	e.pool.ForSpansCtx(nil, m, repairGrain, func(lo, hi, _ int) {
 		evals := int64(0)
 		for i := lo; i < hi; i++ {
 			if !e.alive[i] || isAdded(i) {

@@ -37,7 +37,7 @@ func TestAgglomerateCtxCancelAtEverySite(t *testing.T) {
 			// Workers 1 keeps site hit counts deterministic; Modified shrinks
 			// clusters to exactly K, and 120 mod 7 != 0 leaves leftover
 			// records, which forces the absorb pass.
-			clusters, _, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 7, Distance: D3{}, Workers: 1, Modified: true})
+			clusters, _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{K: 7, Distance: D3{}, Workers: 1, Modified: true})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -57,7 +57,7 @@ func TestAgglomerateCtxAlreadyCancelled(t *testing.T) {
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(1)), 40)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	clusters, stats, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 4, Distance: D3{}})
+	clusters, stats, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{K: 4, Distance: D3{}})
 	if !errors.Is(err, context.Canceled) || clusters != nil {
 		t.Fatalf("clusters=%v err=%v", clusters, err)
 	}
@@ -67,14 +67,15 @@ func TestAgglomerateCtxAlreadyCancelled(t *testing.T) {
 }
 
 // TestAgglomerateCtxNilMatchesPlain asserts the nil-context path is the
-// identity: AgglomerateCtx(nil, ...) produces exactly Agglomerate(...).
+// identity: AgglomerateCtx(nil, ...) produces exactly what a never-done
+// context produces.
 func TestAgglomerateCtxNilMatchesPlain(t *testing.T) {
 	s, tbl := randomSpace(t, rand.New(rand.NewSource(3)), 80)
-	a, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D3{}})
+	a, _, err := AgglomerateCtx(context.Background(), s, tbl, AggloOptions{K: 5, Distance: D3{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AgglomerateCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
+	b, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestAgglomerateInjectedPanicPropagates(t *testing.T) {
 			t.Fatalf("panic value %v does not carry the injection", tp.Value)
 		}
 	}()
-	_, _ = Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 4})
+	_, _, _ = AgglomerateCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D3{}, Workers: 4})
 }
 
 // TestAgglomerateCancelLeaksNoGoroutines cancels mid-run and checks the
@@ -128,7 +129,7 @@ func TestAgglomerateCancelLeaksNoGoroutines(t *testing.T) {
 		in := fault.NewInjector(fault.Rule{Site: SiteMerge, Hit: 3, Action: fault.Cancel}).
 			OnCancel(cancel)
 		deactivate := fault.Activate(in)
-		_, _, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 6, Distance: D3{}, Workers: 8})
+		_, _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{K: 6, Distance: D3{}, Workers: 8})
 		deactivate()
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -155,7 +156,7 @@ func TestAgglomerateCtxCancelDuringInitScanIsPrompt(t *testing.T) {
 		OnCancel(func() { cancelled = time.Now(); cancel() })
 	defer fault.Activate(in)()
 
-	_, _, err := AgglomerateStatsCtx(ctx, s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: 2})
+	_, _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{K: 10, Distance: D3{}, Workers: 2})
 	elapsed := time.Since(cancelled)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)

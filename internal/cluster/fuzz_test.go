@@ -84,10 +84,10 @@ func FuzzAgglomerate(f *testing.F) {
 			opt.Constraints = append(opt.Constraints, TCloseness(0.5))
 			opt.Sensitive = sensitive
 		}
-		seq, seqErr := Agglomerate(s, tbl, opt)
+		seq, _, seqErr := AgglomerateCtx(nil, s, tbl, opt)
 		for _, w := range []int{2, 4} {
 			opt.Workers = w
-			par, parErr := Agglomerate(s, tbl, opt)
+			par, _, parErr := AgglomerateCtx(nil, s, tbl, opt)
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("workers=%d: sequential err=%v, parallel err=%v", w, seqErr, parErr)
 			}
@@ -99,7 +99,7 @@ func FuzzAgglomerate(f *testing.F) {
 		optRef := opt
 		optRef.Workers = 1
 		optRef.NoKernel = true
-		ref, refErr := Agglomerate(s, tbl, optRef)
+		ref, _, refErr := AgglomerateCtx(nil, s, tbl, optRef)
 		if (seqErr == nil) != (refErr == nil) {
 			t.Fatalf("kernel err=%v, reference err=%v", seqErr, refErr)
 		}
@@ -205,8 +205,8 @@ func FuzzDistKernelEquivalence(f *testing.F) {
 		}
 		optRef := opt
 		optRef.NoKernel = true
-		ref, refErr := Agglomerate(s, tbl, optRef)
-		got, gotErr := Agglomerate(s, tbl, opt)
+		ref, _, refErr := AgglomerateCtx(nil, s, tbl, optRef)
+		got, _, gotErr := AgglomerateCtx(nil, s, tbl, opt)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("reference err=%v, kernel err=%v", refErr, gotErr)
 		}

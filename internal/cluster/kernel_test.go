@@ -31,7 +31,7 @@ func TestKernelEquivalenceMatrix(t *testing.T) {
 	s, tbl := randomSpace(t, rng, kernelEquivalenceN(t))
 	for _, d := range AllDistances() {
 		for _, modified := range []bool{false, true} {
-			ref, err := Agglomerate(s, tbl, AggloOptions{
+			ref, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 				K: 5, Distance: d, Modified: modified, Workers: 1, NoKernel: true,
 			})
 			if err != nil {
@@ -39,7 +39,7 @@ func TestKernelEquivalenceMatrix(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s modified=%v workers=%d", d.Name(), modified, workers)
-				got, err := Agglomerate(s, tbl, AggloOptions{
+				got, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 					K: 5, Distance: d, Modified: modified, Workers: workers,
 				})
 				if err != nil {
@@ -58,7 +58,7 @@ func TestKernelEquivalenceAdult(t *testing.T) {
 	s, tbl := adultSpace(t, kernelEquivalenceN(t))
 	for _, d := range []Distance{D1{}, D3{}, D4{Epsilon: 0.25}} {
 		for _, modified := range []bool{false, true} {
-			ref, err := Agglomerate(s, tbl, AggloOptions{
+			ref, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 				K: 10, Distance: d, Modified: modified, Workers: 1, NoKernel: true,
 			})
 			if err != nil {
@@ -66,7 +66,7 @@ func TestKernelEquivalenceAdult(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("adult %s modified=%v workers=%d", d.Name(), modified, workers)
-				got, err := Agglomerate(s, tbl, AggloOptions{
+				got, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 					K: 10, Distance: d, Modified: modified, Workers: workers,
 				})
 				if err != nil {
@@ -89,7 +89,7 @@ func TestKernelEquivalenceDiverse(t *testing.T) {
 		sensitive[i] = rng.Intn(4)
 	}
 	for _, modified := range []bool{false, true} {
-		ref, err := Agglomerate(s, tbl, AggloOptions{
+		ref, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 			K: 6, Distance: D3{}, Modified: modified,
 			Constraints: []Constraint{DistinctLDiversity(3)}, Sensitive: sensitive, Workers: 1, NoKernel: true,
 		})
@@ -98,7 +98,7 @@ func TestKernelEquivalenceDiverse(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("diverse modified=%v workers=%d", modified, workers)
-			got, err := Agglomerate(s, tbl, AggloOptions{
+			got, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 				K: 6, Distance: D3{}, Modified: modified,
 				Constraints: []Constraint{DistinctLDiversity(3)}, Sensitive: sensitive, Workers: workers,
 			})
@@ -123,7 +123,7 @@ func TestKernelEquivalenceTCloseness(t *testing.T) {
 		sensitive[i] = rng.Intn(5)
 	}
 	for _, modified := range []bool{false, true} {
-		ref, err := Agglomerate(s, tbl, AggloOptions{
+		ref, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 			K: 6, Distance: D3{}, Modified: modified,
 			Constraints: []Constraint{TCloseness(0.4)}, Sensitive: sensitive, Workers: 1, NoKernel: true,
 		})
@@ -132,7 +132,7 @@ func TestKernelEquivalenceTCloseness(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("t-close modified=%v workers=%d", modified, workers)
-			got, err := Agglomerate(s, tbl, AggloOptions{
+			got, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 				K: 6, Distance: D3{}, Modified: modified,
 				Constraints: []Constraint{TCloseness(0.4)}, Sensitive: sensitive, Workers: workers,
 			})
@@ -193,7 +193,7 @@ func TestKernelForcedFallback(t *testing.T) {
 		t.Fatalf("kernel shape: walked=%d tabled=%d allTabled=%v, want 1/1/false", k.walked, k.tabled, k.allTabled)
 	}
 	for _, modified := range []bool{false, true} {
-		ref, err := Agglomerate(s, tbl, AggloOptions{
+		ref, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 			K: 5, Distance: D3{}, Modified: modified, Workers: 1, NoKernel: true,
 		})
 		if err != nil {
@@ -201,7 +201,7 @@ func TestKernelForcedFallback(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("fallback modified=%v workers=%d", modified, workers)
-			got, err := Agglomerate(s, tbl, AggloOptions{
+			got, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{
 				K: 5, Distance: D3{}, Modified: modified, Workers: workers,
 			})
 			if err != nil {
@@ -231,17 +231,17 @@ func TestKernelCustomDistance(t *testing.T) {
 	if kind, _ := resolveDistKind(slowD2{}); kind != distCustom {
 		t.Fatalf("resolveDistKind(slowD2) = %d, want distCustom", kind)
 	}
-	ref, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 1, NoKernel: true})
+	ref, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 1, NoKernel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 4})
+	got, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{K: 5, Distance: slowD2{}, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameClustering(t, "custom distance", ref, got)
 	// And the numerically-equal built-in must agree with it too.
-	builtin, err := Agglomerate(s, tbl, AggloOptions{K: 5, Distance: D2{}, Workers: 1})
+	builtin, _, err := AgglomerateCtx(nil, s, tbl, AggloOptions{K: 5, Distance: D2{}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestKernelCounters(t *testing.T) {
 	run := func(noKernel bool) obs.RunStats {
 		met := obs.NewMetrics()
 		ctx := obs.With(context.Background(), met)
-		if _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{
+		if _, _, err := AgglomerateCtx(ctx, s, tbl, AggloOptions{
 			K: 5, Distance: D3{}, Modified: true, Workers: 2, NoKernel: noKernel,
 		}); err != nil {
 			t.Fatal(err)

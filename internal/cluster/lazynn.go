@@ -472,7 +472,7 @@ func (e *aggloEngine) rescanList(owner int, dst *nnList, kind uint8) {
 	live := e.liveList
 	numTiles := (len(live) + nnTile - 1) / nnTile
 	e.stats.TilesScanned += int64(numTiles)
-	spans := e.pool.ForSpans(numTiles, 1, func(tLo, tHi, sp int) {
+	spans, _ := e.pool.ForSpansCtx(nil, numTiles, 1, func(tLo, tHi, sp int) {
 		l := &e.spanRowList[sp]
 		l.reset()
 		evals := int64(0)
@@ -524,7 +524,7 @@ func (e *aggloEngine) repairHeap(added []int) {
 	for _, nb := range added {
 		e.stats.TilesScanned += int64(numTiles)
 		nb32 := int32(nb)
-		spans := e.pool.ForSpans(numTiles, 1, func(tLo, tHi, sp int) {
+		spans, _ := e.pool.ForSpansCtx(nil, numTiles, 1, func(tLo, tHi, sp int) {
 			rl := &e.spanRowList[sp]
 			cl := &e.spanColList[sp]
 			rl.reset()

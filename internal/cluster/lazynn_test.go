@@ -149,13 +149,13 @@ func TestLazyHubWorstCase(t *testing.T) {
 	const n = 300
 	s, tbl := hubSpace(t, n)
 	opt := AggloOptions{K: 2, Distance: D2{}, Workers: 1}
-	ref, refStats, err := AgglomerateStats(s, tbl, AggloOptions{K: 2, Distance: D2{}, Workers: 1, NoKernel: true})
+	ref, refStats, err := AgglomerateCtx(nil, s, tbl, AggloOptions{K: 2, Distance: D2{}, Workers: 1, NoKernel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		opt.Workers = workers
-		got, st, err := AgglomerateStats(s, tbl, opt)
+		got, st, err := AgglomerateCtx(nil, s, tbl, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func BenchmarkForest500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Forest(s, ds.Table, 10); err != nil {
+		if _, _, err := ForestCtx(nil, s, ds.Table, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,7 +36,7 @@ func BenchmarkK1Nearest500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := K1Nearest(s, ds.Table, 10); err != nil {
+		if _, err := K1NearestCtx(nil, s, ds.Table, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func BenchmarkK1Expand500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := K1Expand(s, ds.Table, 10); err != nil {
+		if _, err := K1ExpandCtx(nil, s, ds.Table, 10, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func BenchmarkK1Expand500(b *testing.B) {
 
 func BenchmarkMake1K500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
-	seed, err := K1Expand(s, ds.Table, 10)
+	seed, err := K1ExpandCtx(nil, s, ds.Table, 10, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func BenchmarkMake1K500(b *testing.B) {
 		b.StopTimer()
 		g := seed.Clone()
 		b.StartTimer()
-		if _, err := Make1K(s, ds.Table, g, 10); err != nil {
+		if _, err := Make1KCtx(nil, s, ds.Table, g, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func BenchmarkMake1K500(b *testing.B) {
 
 func BenchmarkMakeGlobal1K500(b *testing.B) {
 	s, ds := benchSpace(b, 500)
-	gkk, err := KKAnonymize(s, ds.Table, 10, K1ByExpansion)
+	gkk, err := KKAnonymizeCtx(nil, s, ds.Table, 10, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func BenchmarkMakeGlobal1K500(b *testing.B) {
 		b.StopTimer()
 		g := gkk.Clone()
 		b.StartTimer()
-		if _, _, err := MakeGlobal1K(s, ds.Table, g, 10); err != nil {
+		if _, _, err := MakeGlobal1KCtx(nil, s, ds.Table, g, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,17 +2,24 @@
 // (Gionis, Mazza, Tassa; ICDE 2008):
 //
 //   - Algorithm 1, the basic agglomerative k-anonymizer, and Algorithm 2,
-//     its modified variant (KAnonymize, delegating to internal/cluster);
+//     its modified variant (KAnonymizeCtx, delegating to internal/cluster),
+//     plus its scalable partitioned form (KAnonymizePartitionedReportCtx);
 //   - the forest algorithm of Aggarwal et al. (ICDT'05), the 3k−3
-//     approximation baseline the paper compares against (Forest);
-//   - Algorithm 3, (k,1)-anonymization by nearest neighbours (K1Nearest);
-//   - Algorithm 4, (k,1)-anonymization by greedy expansion (K1Expand);
-//   - Algorithm 5, the (1,k)-anonymizer post-pass (Make1K), whose coupling
-//     with Algorithm 3 or 4 yields a (k,k)-anonymizer (KKAnonymize);
+//     approximation baseline the paper compares against (ForestCtx), and
+//     the full-domain global-recoding baseline (FullDomainCtx);
+//   - Algorithm 3, (k,1)-anonymization by nearest neighbours (K1NearestCtx);
+//   - Algorithm 4, (k,1)-anonymization by greedy expansion (K1ExpandCtx);
+//   - Algorithm 5, the (1,k)-anonymizer post-pass (Make1KCtx), whose
+//     coupling with Algorithm 3 or 4 yields a (k,k)-anonymizer
+//     (KKAnonymizeCtx);
 //   - Algorithm 6, upgrading a (k,k)-anonymization to a global
-//     (1,k)-anonymization via perfect-matching tests (MakeGlobal1K);
+//     (1,k)-anonymization via perfect-matching tests (MakeGlobal1KCtx);
 //   - brute-force optimal k- and (k,1)-anonymizers for tiny inputs, used
 //     as test oracles (OptimalKAnonymize, OptimalK1).
+//
+// Every pipeline has exactly one exported entry point. It takes a context
+// first (nil disables cancellation, see par.Done) and returns everything
+// any caller reads.
 package core
 
 import (
@@ -25,12 +32,11 @@ import (
 )
 
 // Fault-injection sites of the core pipelines (see internal/fault). Each
-// doubles as a cancellation checkpoint of the corresponding *Ctx function.
+// doubles as a cancellation checkpoint of the corresponding entry point.
 const (
 	// SiteK1Record fires once per record of Algorithms 3 and 4.
 	SiteK1Record = "core.k1.record"
-	// SiteMake1KRecord fires once per record of Algorithm 5 (plain and
-	// diverse).
+	// SiteMake1KRecord fires once per record of Algorithm 5.
 	SiteMake1KRecord = "core.make1k.record"
 	// SiteForestRound fires once per Borůvka round of the forest baseline.
 	SiteForestRound = "core.forest.round"
@@ -47,7 +53,7 @@ const (
 const (
 	// PhaseK1 is the per-record (k,1) stage (Algorithms 3 and 4).
 	PhaseK1 = "core.k1"
-	// PhaseMake1K is the Algorithm 5 widening post-pass (plain and diverse).
+	// PhaseMake1K is the Algorithm 5 widening post-pass.
 	PhaseMake1K = "core.make1k"
 	// PhaseGlobal is the Algorithm 6 matching-and-widening loop.
 	PhaseGlobal = "core.global"
@@ -89,38 +95,21 @@ type KAnonOptions struct {
 	Sensitive   []int
 }
 
-// KAnonymize runs the (basic or modified) agglomerative algorithm and
+// KAnonymizeCtx runs the (basic or modified) agglomerative algorithm and
 // returns the k-anonymized table together with the underlying clustering.
-func KAnonymize(s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	g, clusters, _, err := KAnonymizeStats(s, tbl, opt)
-	return g, clusters, err
-}
-
-// KAnonymizeCtx is KAnonymize under a context: the engine stops at its
-// next scan/merge boundary once ctx is done and returns ctx.Err() with no
-// partial output. A nil ctx disables cancellation.
+// The engine stops at its next scan/merge boundary once ctx is done and
+// returns ctx.Err() with no partial output. A nil ctx disables
+// cancellation. Callers wanting the engine's work counters call
+// cluster.AgglomerateCtx and cluster.ToGenTable directly.
 func KAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	g, clusters, _, err := KAnonymizeStatsCtx(ctx, s, tbl, opt)
-	return g, clusters, err
-}
-
-// KAnonymizeStats is KAnonymize exposing the engine's work counters and
-// phase timings alongside the result.
-func KAnonymizeStats(s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, cluster.AggloStats, error) {
-	return KAnonymizeStatsCtx(nil, s, tbl, opt)
-}
-
-// KAnonymizeStatsCtx is KAnonymizeCtx exposing the engine's work counters
-// and phase timings alongside the result.
-func KAnonymizeStatsCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt KAnonOptions) (*table.GenTable, []*cluster.Cluster, cluster.AggloStats, error) {
 	if opt.K < 1 {
-		return nil, nil, cluster.AggloStats{}, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
+		return nil, nil, fmt.Errorf("core: k must be ≥ 1, got %d", opt.K)
 	}
 	dist := opt.Distance
 	if dist == nil {
 		dist = cluster.D3{}
 	}
-	clusters, stats, err := cluster.AgglomerateStatsCtx(ctx, s, tbl, cluster.AggloOptions{
+	clusters, _, err := cluster.AgglomerateCtx(ctx, s, tbl, cluster.AggloOptions{
 		K:           opt.K,
 		Distance:    dist,
 		Modified:    opt.Modified,
@@ -130,10 +119,9 @@ func KAnonymizeStatsCtx(ctx context.Context, s *cluster.Space, tbl *table.Table,
 		Sensitive:   opt.Sensitive,
 	})
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, err
 	}
-	g := cluster.ToGenTable(tbl.Schema, tbl.Len(), clusters)
-	return g, clusters, stats, nil
+	return cluster.ToGenTable(tbl.Schema, tbl.Len(), clusters), clusters, nil
 }
 
 // pairCost returns d({R_i, R_j}): the generalization cost of the closure of

@@ -59,7 +59,7 @@ func TestKAnonymizePostcondition(t *testing.T) {
 			for _, modified := range []bool{false, true} {
 				s, tbl := testSpace(t, rng, 50, measure)
 				const k = 4
-				g, clusters, err := KAnonymize(s, tbl, KAnonOptions{K: k, Distance: dist, Modified: modified})
+				g, clusters, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: k, Distance: dist, Modified: modified})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,14 +84,14 @@ func TestKAnonymizePostcondition(t *testing.T) {
 func TestKAnonymizeDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s, tbl := testSpace(t, rng, 20, "lm")
-	g, _, err := KAnonymize(s, tbl, KAnonOptions{K: 3}) // nil Distance -> D3
+	g, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: 3}) // nil Distance -> D3
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.IsKAnonymous(g, 3) {
 		t.Error("default distance run not 3-anonymous")
 	}
-	if _, _, err := KAnonymize(s, tbl, KAnonOptions{K: 0}); err == nil {
+	if _, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: 0}); err == nil {
 		t.Error("expected error for k < 1")
 	}
 }
@@ -100,7 +100,7 @@ func TestForestPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, k := range []int{2, 4, 7} {
 		s, tbl := testSpace(t, rng, 45, "entropy")
-		g, clusters, err := Forest(s, tbl, k)
+		g, clusters, err := ForestCtx(nil, s, tbl, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestForestClusterSizeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s, tbl := testSpace(t, rng, 60, "lm")
 	const k = 3
-	_, clusters, err := Forest(s, tbl, k)
+	_, clusters, err := ForestCtx(nil, s, tbl, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +137,13 @@ func TestForestClusterSizeBound(t *testing.T) {
 func TestForestEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s, tbl := testSpace(t, rng, 5, "lm")
-	if _, _, err := Forest(s, tbl, 6); err == nil {
+	if _, _, err := ForestCtx(nil, s, tbl, 6); err == nil {
 		t.Error("expected k > n error")
 	}
-	if _, _, err := Forest(s, tbl, 0); err == nil {
+	if _, _, err := ForestCtx(nil, s, tbl, 0); err == nil {
 		t.Error("expected k < 1 error")
 	}
-	g, _, err := Forest(s, tbl, 5)
+	g, _, err := ForestCtx(nil, s, tbl, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestForestEdgeCases(t *testing.T) {
 	empty := table.New(tbl.Schema)
 	// k=0 invalid; k=1 on empty table still must not crash: k > n is the
 	// guard that fires (1 > 0).
-	if _, _, err := Forest(s, empty, 1); err == nil {
+	if _, _, err := ForestCtx(nil, s, empty, 1); err == nil {
 		t.Error("expected k > n error on empty table")
 	}
 }
@@ -162,15 +162,15 @@ func TestK1NearestPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	for _, k := range []int{2, 5} {
-		g, err := K1Nearest(s, tbl, k)
+		g, err := K1NearestCtx(nil, s, tbl, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !anonymity.IsK1(s, tbl, g, k) {
-			t.Errorf("K1Nearest k=%d: not (k,1)-anonymous", k)
+			t.Errorf("K1NearestCtx k=%d: not (k,1)-anonymous", k)
 		}
 		if !anonymity.IsGeneralizationOf(s, tbl, g) {
-			t.Errorf("K1Nearest k=%d: not positional", k)
+			t.Errorf("K1NearestCtx k=%d: not positional", k)
 		}
 	}
 }
@@ -179,15 +179,15 @@ func TestK1ExpandPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	for _, k := range []int{2, 5} {
-		g, err := K1Expand(s, tbl, k)
+		g, err := K1ExpandCtx(nil, s, tbl, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !anonymity.IsK1(s, tbl, g, k) {
-			t.Errorf("K1Expand k=%d: not (k,1)-anonymous", k)
+			t.Errorf("K1ExpandCtx k=%d: not (k,1)-anonymous", k)
 		}
 		if !anonymity.IsGeneralizationOf(s, tbl, g) {
-			t.Errorf("K1Expand k=%d: not positional", k)
+			t.Errorf("K1ExpandCtx k=%d: not positional", k)
 		}
 	}
 }
@@ -195,10 +195,10 @@ func TestK1ExpandPostcondition(t *testing.T) {
 func TestK1ArgChecks(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s, tbl := testSpace(t, rng, 4, "lm")
-	if _, err := K1Nearest(s, tbl, 5); err == nil {
+	if _, err := K1NearestCtx(nil, s, tbl, 5, 0); err == nil {
 		t.Error("expected k > n error")
 	}
-	if _, err := K1Expand(s, tbl, 0); err == nil {
+	if _, err := K1ExpandCtx(nil, s, tbl, 0, 0); err == nil {
 		t.Error("expected k < 1 error")
 	}
 }
@@ -206,7 +206,7 @@ func TestK1ArgChecks(t *testing.T) {
 func TestK1OneIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	s, tbl := testSpace(t, rng, 10, "lm")
-	g, err := K1Expand(s, tbl, 1)
+	g, err := K1ExpandCtx(nil, s, tbl, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestProp51Approximation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gNN, err := K1Nearest(s, tbl, k)
+		gNN, err := K1NearestCtx(nil, s, tbl, k, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestProp51Approximation(t *testing.T) {
 
 func TestOptimalK1IsOptimalPerRecord(t *testing.T) {
 	// Every record's generalization must cost no more than any other
-	// (k-1)-subset's closure — spot-check against K1Expand.
+	// (k-1)-subset's closure — spot-check against K1ExpandCtx.
 	rng := rand.New(rand.NewSource(11))
 	s, tbl := testSpace(t, rng, 8, "entropy")
 	const k = 3
@@ -253,7 +253,7 @@ func TestOptimalK1IsOptimalPerRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gEx, err := K1Expand(s, tbl, k)
+	gEx, err := K1ExpandCtx(nil, s, tbl, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,18 +269,18 @@ func TestMake1KPostcondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	const k = 4
-	g, err := K1Expand(s, tbl, k)
+	g, err := K1ExpandCtx(nil, s, tbl, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Make1K(s, tbl, g, k); err != nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.Is1K(s, tbl, g, k) {
-		t.Error("Make1K output not (1,k)-anonymous")
+		t.Error("Make1KCtx output not (1,k)-anonymous")
 	}
 	if !anonymity.IsK1(s, tbl, g, k) {
-		t.Error("Make1K destroyed the (k,1) property")
+		t.Error("Make1KCtx destroyed the (k,1) property")
 	}
 	if !anonymity.IsKK(s, tbl, g, k) {
 		t.Error("coupling not (k,k)-anonymous")
@@ -297,11 +297,11 @@ func TestMake1KOnIdentity(t *testing.T) {
 	for i, r := range tbl.Records {
 		copy(g.Records[i], s.LeafClosure(r))
 	}
-	if _, err := Make1K(s, tbl, g, k); err != nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.Is1K(s, tbl, g, k) {
-		t.Error("Make1K on identity not (1,k)-anonymous")
+		t.Error("Make1KCtx on identity not (1,k)-anonymous")
 	}
 }
 
@@ -309,11 +309,11 @@ func TestMake1KErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	s, tbl := testSpace(t, rng, 5, "lm")
 	short := table.NewGen(tbl.Schema, 3)
-	if _, err := Make1K(s, tbl, short, 2); err == nil {
+	if _, err := Make1KCtx(nil, s, tbl, short, 2); err == nil {
 		t.Error("expected length mismatch error")
 	}
 	g := table.NewGen(tbl.Schema, 5)
-	if _, err := Make1K(s, tbl, g, 6); err == nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, 6); err == nil {
 		t.Error("expected k > n error")
 	}
 }
@@ -323,7 +323,7 @@ func TestKKAnonymizeBothCouplings(t *testing.T) {
 	for _, alg := range []K1Algorithm{K1ByNearest, K1ByExpansion} {
 		s, tbl := testSpace(t, rng, 35, "entropy")
 		const k = 4
-		g, err := KKAnonymize(s, tbl, k, alg)
+		g, err := KKAnonymizeCtx(nil, s, tbl, k, alg, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestKKAnonymizeBothCouplings(t *testing.T) {
 		}
 	}
 	s, tbl := testSpace(t, rng, 10, "lm")
-	if _, err := KKAnonymize(s, tbl, 2, K1Algorithm(99)); err == nil {
+	if _, err := KKAnonymizeCtx(nil, s, tbl, 2, K1Algorithm(99), nil, nil, 0); err == nil {
 		t.Error("expected unknown-algorithm error")
 	}
 }
@@ -351,12 +351,12 @@ func TestMakeGlobal1KPostcondition(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		s, tbl := testSpace(t, rng, 40, "entropy")
 		const k = 4
-		g, err := KKAnonymize(s, tbl, k, K1ByExpansion)
+		g, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := loss.TableLoss(s.Measure, g)
-		out, stats, err := MakeGlobal1K(s, tbl, g, k)
+		out, stats, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,11 +381,11 @@ func TestMakeGlobal1KOnKAnonymous(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	s, tbl := testSpace(t, rng, 30, "lm")
 	const k = 3
-	g, _, err := KAnonymize(s, tbl, KAnonOptions{K: k})
+	g, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := MakeGlobal1K(s, tbl, g, k)
+	_, stats, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestMakeGlobal1KRejectsNonPositional(t *testing.T) {
 	if !nonPositional {
 		t.Skip("random table degenerate (all records equal)")
 	}
-	if _, _, err := MakeGlobal1K(s, tbl, g, 2); err == nil {
+	if _, _, err := MakeGlobal1KCtx(nil, s, tbl, g, 2); err == nil {
 		t.Error("expected positionality rejection")
 	}
 }
@@ -424,19 +424,31 @@ func TestMakeGlobal1KErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	s, tbl := testSpace(t, rng, 5, "lm")
 	short := table.NewGen(tbl.Schema, 2)
-	if _, _, err := MakeGlobal1K(s, tbl, short, 2); err == nil {
+	if _, _, err := MakeGlobal1KCtx(nil, s, tbl, short, 2); err == nil {
 		t.Error("expected length mismatch error")
 	}
+}
+
+// globalAnonymize runs the paper's full global (1,k) pipeline: a
+// (k,k)-anonymization (Algorithm 4 + Algorithm 5) upgraded by Algorithm 6.
+func globalAnonymize(t *testing.T, s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, Global1KStats) {
+	t.Helper()
+	g, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, stats, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, stats
 }
 
 func TestGlobalAnonymizePipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	s, tbl := testSpace(t, rng, 35, "entropy")
 	const k = 3
-	g, stats, err := GlobalAnonymize(s, tbl, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, stats := globalAnonymize(t, s, tbl, k)
 	if !anonymity.IsGlobal1K(s, tbl, g, k) {
 		t.Error("pipeline output not global (1,k)")
 	}
@@ -458,7 +470,7 @@ func TestOptimalKAnonymize(t *testing.T) {
 	}
 	// No heuristic may beat the optimum.
 	for _, dist := range cluster.PaperDistances() {
-		gh, _, err := KAnonymize(s, tbl, KAnonOptions{K: k, Distance: dist})
+		gh, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: k, Distance: dist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +478,7 @@ func TestOptimalKAnonymize(t *testing.T) {
 			t.Errorf("%s heuristic loss %v beats optimal %v", dist.Name(), got, avg)
 		}
 	}
-	gf, _, err := Forest(s, tbl, k)
+	gf, _, err := ForestCtx(nil, s, tbl, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,8 +521,8 @@ func TestK1WorkersEquivalence(t *testing.T) {
 		name string
 		run  func(workers int) (*table.GenTable, error)
 	}{
-		{"nearest", func(w int) (*table.GenTable, error) { return K1NearestWorkers(s, tbl, k, w) }},
-		{"expand", func(w int) (*table.GenTable, error) { return K1ExpandWorkers(s, tbl, k, w) }},
+		{"nearest", func(w int) (*table.GenTable, error) { return K1NearestCtx(nil, s, tbl, k, w) }},
+		{"expand", func(w int) (*table.GenTable, error) { return K1ExpandCtx(nil, s, tbl, k, w) }},
 	} {
 		seq, err := tc.run(1)
 		if err != nil {
@@ -538,17 +550,17 @@ func TestMake1KIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	const k = 4
-	g, err := KKAnonymize(s, tbl, k, K1ByExpansion)
+	g, err := KKAnonymizeCtx(nil, s, tbl, k, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := g.Clone()
-	if _, err := Make1K(s, tbl, g, k); err != nil {
+	if _, err := Make1KCtx(nil, s, tbl, g, k); err != nil {
 		t.Fatal(err)
 	}
 	for i := range g.Records {
 		if !g.Records[i].Equal(before.Records[i]) {
-			t.Fatalf("Make1K modified record %d of an already-(1,k) table", i)
+			t.Fatalf("Make1KCtx modified record %d of an already-(1,k) table", i)
 		}
 	}
 }
@@ -559,12 +571,9 @@ func TestMakeGlobal1KIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	s, tbl := testSpace(t, rng, 30, "entropy")
 	const k = 3
-	g, _, err := GlobalAnonymize(s, tbl, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _ := globalAnonymize(t, s, tbl, k)
 	before := g.Clone()
-	_, stats, err := MakeGlobal1K(s, tbl, g, k)
+	_, stats, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +582,7 @@ func TestMakeGlobal1KIdempotent(t *testing.T) {
 	}
 	for i := range g.Records {
 		if !g.Records[i].Equal(before.Records[i]) {
-			t.Fatalf("MakeGlobal1K modified record %d of a global table", i)
+			t.Fatalf("MakeGlobal1KCtx modified record %d of a global table", i)
 		}
 	}
 }
@@ -585,17 +594,17 @@ func TestK1Determinism(t *testing.T) {
 	rng2 := rand.New(rand.NewSource(24))
 	s2, tbl2 := testSpace(t, rng2, 40, "entropy")
 	for trial := 0; trial < 3; trial++ {
-		a, err := K1Expand(s1, tbl1, 5)
+		a, err := K1ExpandCtx(nil, s1, tbl1, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := K1Expand(s2, tbl2, 5)
+		b, err := K1ExpandCtx(nil, s2, tbl2, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range a.Records {
 			if !a.Records[i].Equal(b.Records[i]) {
-				t.Fatalf("K1Expand non-deterministic at record %d", i)
+				t.Fatalf("K1ExpandCtx non-deterministic at record %d", i)
 			}
 		}
 	}

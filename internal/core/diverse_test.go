@@ -11,6 +11,11 @@ import (
 	"kanon/internal/cluster"
 )
 
+// distinctL is the distinct ℓ-diversity constraint list.
+func distinctL(l int) []cluster.Constraint {
+	return []cluster.Constraint{cluster.DistinctLDiversity(l)}
+}
+
 // sensitiveFor fabricates a sensitive attribute with v distinct values.
 func sensitiveFor(rng *rand.Rand, n, v int) []int {
 	out := make([]int, n)
@@ -26,7 +31,7 @@ func TestKAnonymizeDiversePostcondition(t *testing.T) {
 		s, tbl := testSpace(t, rng, 60, "entropy")
 		sens := sensitiveFor(rng, tbl.Len(), 4)
 		const k = 4
-		g, clusters, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: k}, l, sens)
+		g, clusters, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: k, Constraints: distinctL(l), Sensitive: sens})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +62,7 @@ func TestKAnonymizeDiverseModified(t *testing.T) {
 	s, tbl := testSpace(t, rng, 50, "lm")
 	sens := sensitiveFor(rng, tbl.Len(), 3)
 	const k, l = 3, 2
-	g, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: k, Modified: true}, l, sens)
+	g, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: k, Modified: true, Constraints: distinctL(l), Sensitive: sens})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +79,14 @@ func TestKAnonymizeDiverseUnattainable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s, tbl := testSpace(t, rng, 20, "lm")
 	sens := make([]int, tbl.Len()) // all identical
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 2}, 2, sens); err == nil {
+	if _, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: 2, Constraints: distinctL(2), Sensitive: sens}); err == nil {
 		t.Error("expected unattainable-diversity error")
 	}
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 2}, 0, sens); err == nil {
-		t.Error("expected l < 1 error")
-	}
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 0}, 2, sens); err == nil {
+	if _, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: 0, Constraints: distinctL(2), Sensitive: sens}); err == nil {
 		t.Error("expected k < 1 error")
 	}
 	short := []int{1, 2}
-	if _, _, err := KAnonymizeDiverse(s, tbl, KAnonOptions{K: 2}, 2, short); err == nil {
+	if _, _, err := KAnonymizeCtx(nil, s, tbl, KAnonOptions{K: 2, Constraints: distinctL(2), Sensitive: short}); err == nil {
 		t.Error("expected sensitive-length error")
 	}
 }
@@ -94,11 +96,11 @@ func TestKAnonymizeDiverseLOneIsPlain(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(43))
 	s1, tbl1 := testSpace(t, rng1, 40, "entropy")
 	sens := sensitiveFor(rand.New(rand.NewSource(1)), tbl1.Len(), 3)
-	gd, _, err := KAnonymizeDiverse(s1, tbl1, KAnonOptions{K: 4}, 1, sens)
+	gd, _, err := KAnonymizeCtx(nil, s1, tbl1, KAnonOptions{K: 4, Constraints: distinctL(1), Sensitive: sens})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, _, err := KAnonymize(s1, tbl1, KAnonOptions{K: 4})
+	gp, _, err := KAnonymizeCtx(nil, s1, tbl1, KAnonOptions{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +116,11 @@ func TestMake1KDiversePostcondition(t *testing.T) {
 	s, tbl := testSpace(t, rng, 40, "entropy")
 	sens := sensitiveFor(rng, tbl.Len(), 4)
 	const k, l = 4, 3
-	g, err := K1Expand(s, tbl, k)
+	g, err := K1ExpandCtx(nil, s, tbl, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Make1KDiverse(s, tbl, g, k, l, sens); err != nil {
+	if _, err := make1K(nil, s, tbl, g, k, distinctL(l), sens); err != nil {
 		t.Fatal(err)
 	}
 	if !anonymity.IsKK(s, tbl, g, k) {
@@ -144,7 +146,7 @@ func TestKKAnonymizeDiverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k, l = 4, 2
-	g, err := KKAnonymizeDiverse(s, ds.Table, k, l, K1ByExpansion, ds.Sensitive)
+	g, err := KKAnonymizeCtx(nil, s, ds.Table, k, K1ByExpansion, distinctL(l), ds.Sensitive, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestKKAnonymizeDiverse(t *testing.T) {
 	// Both post-passes are greedy, so neither strictly dominates; the
 	// diverse release should still be in the same cost regime as the
 	// unconstrained one (within 50%).
-	gp, err := KKAnonymize(s, ds.Table, k, K1ByExpansion)
+	gp, err := KKAnonymizeCtx(nil, s, ds.Table, k, K1ByExpansion, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +177,13 @@ func TestKKAnonymizeDiverseErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	s, tbl := testSpace(t, rng, 10, "lm")
 	sens := sensitiveFor(rng, tbl.Len(), 2)
-	if _, err := KKAnonymizeDiverse(s, tbl, 2, 2, K1Algorithm(9), sens); err == nil {
+	if _, err := KKAnonymizeCtx(nil, s, tbl, 2, K1Algorithm(9), distinctL(2), sens, 0); err == nil {
 		t.Error("expected unknown algorithm error")
 	}
-	if _, err := KKAnonymizeDiverse(s, tbl, 2, 3, K1ByExpansion, sens); err == nil {
+	if _, err := KKAnonymizeCtx(nil, s, tbl, 2, K1ByExpansion, distinctL(3), sens, 0); err == nil {
 		t.Error("expected unattainable diversity error")
 	}
-	if _, err := Make1KDiverse(s, tbl, nil, 2, 2, sens); err == nil {
+	if _, err := make1K(nil, s, tbl, nil, 2, distinctL(2), sens); err == nil {
 		t.Error("expected nil/length error")
 	}
 }
@@ -189,7 +191,7 @@ func TestKKAnonymizeDiverseErrors(t *testing.T) {
 func TestCandidateDiversityErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	s, tbl := testSpace(t, rng, 6, "lm")
-	g, err := K1Expand(s, tbl, 2)
+	g, err := K1ExpandCtx(nil, s, tbl, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

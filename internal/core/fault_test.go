@@ -22,7 +22,7 @@ func TestK1CancelAtRecordSite(t *testing.T) {
 			s, tbl := testSpace(t, rand.New(rand.NewSource(11)), 30, "lm")
 			g, err := K1NearestCtx(ctx, s, tbl, 4, 1)
 			if g != nil {
-				t.Error("cancelled K1Nearest returned a partial table")
+				t.Error("cancelled K1NearestCtx returned a partial table")
 			}
 			return err
 		}},
@@ -30,7 +30,7 @@ func TestK1CancelAtRecordSite(t *testing.T) {
 			s, tbl := testSpace(t, rand.New(rand.NewSource(12)), 30, "lm")
 			g, err := K1ExpandCtx(ctx, s, tbl, 4, 1)
 			if g != nil {
-				t.Error("cancelled K1Expand returned a partial table")
+				t.Error("cancelled K1ExpandCtx returned a partial table")
 			}
 			return err
 		}},
@@ -74,14 +74,14 @@ func TestK1InjectedPanicIsContained(t *testing.T) {
 			t.Fatalf("panic value %v does not carry the injection", tp.Value)
 		}
 	}()
-	_, _ = K1NearestWorkers(s, tbl, 4, 4)
+	_, _ = K1NearestCtx(nil, s, tbl, 4, 4)
 }
 
 // TestMake1KCancelAtRecordSite injects a cancellation into Algorithm 5's
 // per-record widening loop.
 func TestMake1KCancelAtRecordSite(t *testing.T) {
 	s, tbl := testSpace(t, rand.New(rand.NewSource(14)), 30, "lm")
-	g, err := K1Nearest(s, tbl, 3)
+	g, err := K1NearestCtx(nil, s, tbl, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMake1KCancelAtRecordSite(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if out != nil {
-		t.Fatal("cancelled Make1K returned a table")
+		t.Fatal("cancelled Make1KCtx returned a table")
 	}
 	if in.Hits(SiteMake1KRecord) < 3 {
 		t.Fatalf("site hit %d times, injection at 3 never fired", in.Hits(SiteMake1KRecord))
@@ -118,7 +118,7 @@ func TestForestCancelAtRoundSite(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if g != nil || clusters != nil {
-		t.Fatal("cancelled Forest returned partial output")
+		t.Fatal("cancelled ForestCtx returned partial output")
 	}
 	if in.Hits(SiteForestRound) < 1 {
 		t.Fatal("round site never fired")
@@ -131,7 +131,7 @@ func TestForestCancelAtRoundSite(t *testing.T) {
 // cancelling at the second step is strictly mid-loop.
 func TestGlobalCancelAtStepSite(t *testing.T) {
 	s, tbl := testSpace(t, rand.New(rand.NewSource(4)), 40, "lm")
-	g, err := KKAnonymize(s, tbl, 4, K1ByNearest)
+	g, err := KKAnonymizeCtx(nil, s, tbl, 4, K1ByNearest, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestGlobalCancelAtStepSite(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if out != nil {
-		t.Fatal("cancelled MakeGlobal1K returned a table")
+		t.Fatal("cancelled MakeGlobal1KCtx returned a table")
 	}
 	if in.Hits(SiteGlobalStep) < 2 {
 		t.Fatalf("step site hit %d times, injection at 2 never fired", in.Hits(SiteGlobalStep))

@@ -30,8 +30,8 @@ type Global1KStats struct {
 	InitialMinMatches int
 }
 
-// MakeGlobal1K runs Algorithm 6: it upgrades a (k,k)-anonymization g of tbl
-// into a global (1,k)-anonymization. For every original record R_i whose
+// MakeGlobal1KCtx runs Algorithm 6: it upgrades a (k,k)-anonymization g of
+// tbl into a global (1,k)-anonymization. For every original record R_i whose
 // number of matches (edges of the consistency graph completable to a
 // perfect matching, Definition 4.6) is below k, the algorithm selects the
 // non-match neighbour R̄_jh minimizing c(R̄_i + R_jh) − c(R̄_i), where R_jh
@@ -41,15 +41,11 @@ type Global1KStats struct {
 //
 // g must be a positional generalization of tbl (R̄_i generalizes R_i); this
 // is verified. g is modified in place and returned alongside the stats.
-func MakeGlobal1K(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, Global1KStats, error) {
-	return MakeGlobal1KCtx(nil, s, tbl, g, k)
-}
-
-// MakeGlobal1KCtx is MakeGlobal1K under a context: cancellation is checked
-// before every record and every widening step (the matching rebuild is the
-// expensive unit of work), returning ctx.Err(). Like Make1KCtx, a cancelled
-// call leaves g partially widened — discard g on error. A nil ctx disables
-// cancellation.
+//
+// Cancellation is checked before every record and every widening step (the
+// matching rebuild is the expensive unit of work), returning ctx.Err().
+// Like Make1KCtx, a cancelled call leaves g partially widened — discard g
+// on error. A nil ctx disables cancellation.
 func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) (*table.GenTable, Global1KStats, error) {
 	var stats Global1KStats
 	n := tbl.Len()
@@ -172,21 +168,4 @@ func MakeGlobal1KCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, g 
 		o.Peak("core.global.max_steps", int64(stats.MaxStepsPerRecord))
 	}
 	return g, stats, nil
-}
-
-// GlobalAnonymize is the full global (1,k) pipeline of the paper: a
-// (k,k)-anonymization (Algorithm 4 + Algorithm 5) upgraded by Algorithm 6.
-func GlobalAnonymize(s *cluster.Space, tbl *table.Table, k int) (*table.GenTable, Global1KStats, error) {
-	return GlobalAnonymizeCtx(nil, s, tbl, k, 0)
-}
-
-// GlobalAnonymizeCtx is GlobalAnonymize under a context, with the (k,k)
-// stage running on a pool of Workers(workers) workers. A nil ctx disables
-// cancellation.
-func GlobalAnonymizeCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, k, workers int) (*table.GenTable, Global1KStats, error) {
-	g, err := KKAnonymizeCtx(ctx, s, tbl, k, K1ByExpansion, workers)
-	if err != nil {
-		return nil, Global1KStats{}, err
-	}
-	return MakeGlobal1KCtx(ctx, s, tbl, g, k)
 }

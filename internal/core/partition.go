@@ -44,29 +44,6 @@ type PartitionedOptions struct {
 	CompletedShards map[int]resilient.ShardCheckpoint
 }
 
-// KAnonymizePartitioned addresses the paper's Section VII call for "more
-// scalable algorithms": it recursively partitions the records top-down
-// along the generalization hierarchies — Mondrian-style, but splitting
-// only into permissible subsets so every part remains describable — until
-// chunks fit MaxChunk, then runs the (quadratic) agglomerative algorithm
-// within each chunk. Total cost drops from O(n²) to
-// O(n·log n + Σ chunk²) with a modest utility penalty (quantified by the
-// E19 benchmark), because records in different chunks already disagree on
-// some attribute and would rarely share a cluster anyway.
-func KAnonymizePartitioned(s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	return KAnonymizePartitionedCtx(nil, s, tbl, opt)
-}
-
-// KAnonymizePartitionedCtx is KAnonymizePartitioned under a context: the
-// per-chunk engines run with the context (cancelling at their scan/merge
-// boundaries) and the shard supervisor checks it between attempts,
-// returning ctx.Err() with no partial output. A nil ctx disables
-// cancellation.
-func KAnonymizePartitionedCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, error) {
-	g, cs, _, err := KAnonymizePartitionedReportCtx(ctx, s, tbl, opt)
-	return g, cs, err
-}
-
 // partitionSignature binds a shard checkpoint to the run parameters that
 // shaped its clusters: everything that changes the per-chunk engine's
 // output (not Workers/NoKernel — those are proven output-neutral by the
@@ -75,8 +52,18 @@ func partitionSignature(opt PartitionedOptions, dist cluster.Distance, n int) st
 	return fmt.Sprintf("k=%d|dist=%s|mod=%t|n=%d", opt.K, dist.Name(), opt.Modified, n)
 }
 
-// KAnonymizePartitionedReportCtx is the resilient partitioned pipeline
-// (DESIGN.md §14): every chunk runs as a supervised shard — contained,
+// KAnonymizePartitionedReportCtx addresses the paper's Section VII call for
+// "more scalable algorithms": it recursively partitions the records
+// top-down along the generalization hierarchies — Mondrian-style, but
+// splitting only into permissible subsets so every part remains
+// describable — until chunks fit MaxChunk, then runs the (quadratic)
+// agglomerative algorithm within each chunk. Total cost drops from O(n²) to
+// O(n·log n + Σ chunk²) with a modest utility penalty (quantified by the
+// E19 benchmark), because records in different chunks already disagree on
+// some attribute and would rarely share a cluster anyway.
+//
+// The pipeline is resilient (DESIGN.md §14): every chunk runs as a
+// supervised shard — contained,
 // retried with deterministic backoff on transient failures, quarantined
 // and completed by the reference (kernel-off, single-worker) engine after
 // exhausting its budget — and the returned RunReport records each shard's
@@ -84,6 +71,11 @@ func partitionSignature(opt PartitionedOptions, dist cluster.Distance, n int) st
 // including on error, so callers can checkpoint partial progress; the
 // merged output still satisfies every k-anonymity invariant because both
 // engines produce k-respecting clusters over the same chunks.
+//
+// The per-chunk engines run with ctx (cancelling at their scan/merge
+// boundaries) and the shard supervisor checks it between attempts,
+// returning ctx.Err() with no partial output. A nil ctx disables
+// cancellation.
 func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *table.Table, opt PartitionedOptions) (*table.GenTable, []*cluster.Cluster, *resilient.RunReport, error) {
 	n := tbl.Len()
 	if opt.K < 1 {
@@ -129,7 +121,7 @@ func KAnonymizePartitionedReportCtx(ctx context.Context, s *cluster.Space, tbl *
 				for _, gi := range chunk {
 					sub.Records = append(sub.Records, tbl.Records[gi])
 				}
-				cs, err := cluster.AgglomerateCtx(actx, s, sub, aggOpt)
+				cs, _, err := cluster.AgglomerateCtx(actx, s, sub, aggOpt)
 				if err != nil {
 					return err
 				}

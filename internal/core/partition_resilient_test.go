@@ -48,7 +48,7 @@ func fastResilience() *resilient.Policy {
 func TestPartitionFaultRetrySameOutput(t *testing.T) {
 	s, tbl := partitionFixture(t)
 	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPartitionFaultRetrySameOutput(t *testing.T) {
 func TestPartitionQuarantineDegradedCompletes(t *testing.T) {
 	s, tbl := partitionFixture(t)
 	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPartitionDelayDeadlineRetry(t *testing.T) {
 	p := fastResilience()
 	p.ShardDeadline = 50 * time.Millisecond
 	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: p}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPartitionReportWorkerInvariant(t *testing.T) {
 func TestPartitionCheckpointResume(t *testing.T) {
 	s, tbl := partitionFixture(t)
 	base := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, base)
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestPartitionStaleCheckpointRecomputed(t *testing.T) {
 	if rep.CheckpointHits != 0 {
 		t.Fatalf("CheckpointHits = %d, want 0: stale checkpoints must be recomputed", rep.CheckpointHits)
 	}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, base)
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestPartitionStaleCheckpointRecomputed(t *testing.T) {
 func TestPartitionSeededFaultSweep(t *testing.T) {
 	s, tbl := partitionFixture(t)
 	opt := PartitionedOptions{K: 5, MaxChunk: 30, Resilience: fastResilience()}
-	gClean, _, err := KAnonymizePartitioned(s, tbl, opt)
+	gClean, _, _, err := KAnonymizePartitionedReportCtx(nil, s, tbl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,22 +53,22 @@ func (c Config) RunAttack(dataset string) ([]AttackResult, error) {
 	}
 	pipelines := []pipeline{
 		{"k-anon", func(k int) (*table.GenTable, error) {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, err := core.KAnonymizeCtx(nil, s, ds.Table, core.KAnonOptions{K: k})
 			return g, err
 		}},
 		{"forest", func(k int) (*table.GenTable, error) {
-			g, _, err := core.Forest(s, ds.Table, k)
+			g, _, err := core.ForestCtx(nil, s, ds.Table, k)
 			return g, err
 		}},
 		{"kk", func(k int) (*table.GenTable, error) {
-			return core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			return core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 		}},
 		{"global", func(k int) (*table.GenTable, error) {
-			g, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			g, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 			if err != nil {
 				return nil, err
 			}
-			g, _, err = core.MakeGlobal1K(s, ds.Table, g, k)
+			g, _, err = core.MakeGlobal1KCtx(nil, s, ds.Table, g, k)
 			return g, err
 		}},
 	}

@@ -88,8 +88,7 @@ func (c Config) RunConstraints(dataset string) ([]ConstraintResult, error) {
 					return g, err
 				}},
 				{"kk", func() (*table.GenTable, error) {
-					return core.KKAnonymizeConstrainedCtx(c.Ctx, s, ds.Table, k,
-						core.K1ByExpansion, menu.cons, ds.Sensitive, c.Workers)
+					return core.KKAnonymizeCtx(c.Ctx, s, ds.Table, k, core.K1ByExpansion, menu.cons, ds.Sensitive, c.Workers)
 				}},
 			}
 			for _, eng := range engines {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"kanon/internal/cluster"
 	"kanon/internal/core"
 	"kanon/internal/datagen"
 	"kanon/internal/loss"
@@ -48,17 +49,17 @@ func (c Config) RunRecoding(dataset string, m MeasureKind) ([]RecodingResult, er
 	var out []RecodingResult
 	for _, k := range c.Ks {
 		res := RecodingResult{Dataset: dataset, Measure: m, K: k}
-		gL, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+		gL, _, err := core.KAnonymizeCtx(nil, s, ds.Table, core.KAnonOptions{K: k})
 		if err != nil {
 			return nil, err
 		}
 		res.LocalKAnon = loss.TableLoss(meas, gL)
-		gKK, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		gKK, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 		if err != nil {
 			return nil, err
 		}
 		res.LocalKK = loss.TableLoss(meas, gKK)
-		gFD, levels, err := core.FullDomain(s, ds.Table, k)
+		gFD, levels, err := core.FullDomainCtx(nil, s, ds.Table, k)
 		if err != nil {
 			return nil, err
 		}
@@ -121,18 +122,18 @@ func (c Config) RunQueries(dataset string, numQueries int) ([]QueryResult, error
 	}
 	pipelines := []pipeline{
 		{"k-anon", func(k int) (*table.GenTable, error) {
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, err := core.KAnonymizeCtx(nil, s, ds.Table, core.KAnonOptions{K: k})
 			return g, err
 		}},
 		{"forest", func(k int) (*table.GenTable, error) {
-			g, _, err := core.Forest(s, ds.Table, k)
+			g, _, err := core.ForestCtx(nil, s, ds.Table, k)
 			return g, err
 		}},
 		{"kk", func(k int) (*table.GenTable, error) {
-			return core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+			return core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 		}},
 		{"full-domain", func(k int) (*table.GenTable, error) {
-			g, _, err := core.FullDomain(s, ds.Table, k)
+			g, _, err := core.FullDomainCtx(nil, s, ds.Table, k)
 			return g, err
 		}},
 	}
@@ -198,7 +199,7 @@ func (c Config) RunScale(sizes []int, k, maxChunk, skipPlainAbove int) ([]ScaleR
 		}
 		if n <= skipPlainAbove {
 			start := nowMillis()
-			g, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+			g, _, err := core.KAnonymizeCtx(nil, s, ds.Table, core.KAnonOptions{K: k})
 			if err != nil {
 				return nil, err
 			}
@@ -269,20 +270,21 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	cons := []cluster.Constraint{cluster.DistinctLDiversity(l)}
 	var out []DiversityResult
 	for _, k := range c.Ks {
 		res := DiversityResult{Dataset: dataset, K: k, L: l}
-		gP, _, err := core.KAnonymize(s, ds.Table, core.KAnonOptions{K: k})
+		gP, _, err := core.KAnonymizeCtx(nil, s, ds.Table, core.KAnonOptions{K: k})
 		if err != nil {
 			return nil, err
 		}
 		res.PlainKAnonLoss = loss.TableLoss(meas, gP)
-		gD, _, err := core.KAnonymizeDiverse(s, ds.Table, core.KAnonOptions{K: k}, l, ds.Sensitive)
+		gD, _, err := core.KAnonymizeCtx(nil, s, ds.Table, core.KAnonOptions{K: k, Constraints: cons, Sensitive: ds.Sensitive})
 		if err != nil {
 			return nil, err
 		}
 		res.DiverseKAnonLoss = loss.TableLoss(meas, gD)
-		gKK, err := core.KKAnonymize(s, ds.Table, k, core.K1ByExpansion)
+		gKK, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, nil, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -291,7 +293,7 @@ func (c Config) RunDiversity(dataset string, l int) ([]DiversityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		gKKD, err := core.KKAnonymizeDiverse(s, ds.Table, k, l, core.K1ByExpansion, ds.Sensitive)
+		gKKD, err := core.KKAnonymizeCtx(nil, s, ds.Table, k, core.K1ByExpansion, cons, ds.Sensitive, 0)
 		if err != nil {
 			return nil, err
 		}

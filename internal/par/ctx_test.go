@@ -13,8 +13,8 @@ func TestForCtxNilContextRunsEverything(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	var ran atomic.Int64
-	if err := p.ForCtx(nil, 1000, 1, func(i int) { ran.Add(1) }); err != nil {
-		t.Fatalf("ForCtx(nil ctx) = %v", err)
+	if _, err := p.ForSpansCtx(nil, 1000, 1, func(lo, hi, _ int) { ran.Add(int64(hi - lo)) }); err != nil {
+		t.Fatalf("ForSpansCtx(nil ctx) = %v", err)
 	}
 	if ran.Load() != 1000 {
 		t.Fatalf("ran %d of 1000", ran.Load())
@@ -27,7 +27,7 @@ func TestForCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	err := p.ForCtx(ctx, 1000, 1, func(i int) { ran.Add(1) })
+	_, err := p.ForSpansCtx(ctx, 1000, 1, func(lo, hi, _ int) { ran.Add(int64(hi - lo)) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -85,7 +85,7 @@ func TestPanicInTaskIsContained(t *testing.T) {
 					}
 				}
 			}()
-			p.Each(n, func(i int) {
+			p.EachCtx(nil, n, func(i int) {
 				if i == n/2 {
 					panic("boom")
 				}
@@ -94,7 +94,7 @@ func TestPanicInTaskIsContained(t *testing.T) {
 	}
 	// The pool must remain usable after containing a panic.
 	var ran atomic.Int64
-	p.Each(100, func(i int) { ran.Add(1) })
+	p.EachCtx(nil, 100, func(i int) { ran.Add(1) })
 	if ran.Load() != 100 {
 		t.Fatalf("pool broken after panic: ran %d of 100", ran.Load())
 	}
@@ -114,7 +114,7 @@ func TestTaskPanicUnwrap(t *testing.T) {
 			t.Fatal("errors.Is does not reach through TaskPanic")
 		}
 	}()
-	p.ForSpans(100, 1, func(lo, hi, span int) { panic(sentinel) })
+	p.ForSpansCtx(nil, 100, 1, func(lo, hi, span int) { panic(sentinel) })
 }
 
 func TestPanicDoesNotWedgeForSpans(t *testing.T) {
@@ -124,7 +124,7 @@ func TestPanicDoesNotWedgeForSpans(t *testing.T) {
 	go func() {
 		defer close(done)
 		defer func() { recover() }()
-		p.ForSpans(1000, 1, func(lo, hi, span int) {
+		p.ForSpansCtx(nil, 1000, 1, func(lo, hi, span int) {
 			if span == 1 {
 				panic("boom")
 			}
@@ -133,7 +133,7 @@ func TestPanicDoesNotWedgeForSpans(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("ForSpans did not return after a task panic")
+		t.Fatal("ForSpansCtx did not return after a task panic")
 	}
 }
 
@@ -141,10 +141,10 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 3; trial++ {
 		p := New(8)
-		p.Each(100, func(i int) {})
+		p.EachCtx(nil, 100, func(i int) {})
 		func() {
 			defer func() { recover() }()
-			p.Each(100, func(i int) {
+			p.EachCtx(nil, 100, func(i int) {
 				if i == 50 {
 					panic("boom")
 				}

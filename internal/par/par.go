@@ -4,11 +4,11 @@
 //
 // The pool offers two scheduling disciplines:
 //
-//   - For / ForSpans shard an index range into contiguous spans whose
+//   - ForSpansCtx shards an index range into contiguous spans whose
 //     boundaries depend only on (n, grain, Size()) — never on scheduling —
 //     so deterministic engines can fan out work and still produce
 //     bit-identical results at any worker count;
-//   - Each hands out indices dynamically (an atomic cursor), which suits
+//   - EachCtx hands out indices dynamically (an atomic cursor), which suits
 //     heterogeneous tasks such as whole experiment cells. Callers must
 //     confine writes per index, which also keeps results deterministic.
 //
@@ -20,9 +20,9 @@
 // first captured panic is re-raised on the submitting goroutine as a
 // *TaskPanic after all spans drained, so a panicking task can never kill
 // the process from a helper goroutine or leave the pool's accounting
-// wedged. The *Ctx variants additionally stop handing out spans or indices
-// once the supplied context is done and return ctx.Err() after draining
-// the tasks already started.
+// wedged. Both disciplines stop handing out spans or indices once the
+// supplied (possibly nil) context is done and return ctx.Err() after
+// draining the tasks already started.
 package par
 
 import (
@@ -75,7 +75,7 @@ func Workers(requested int) int {
 // between helper and inline execution depends on timing, so these are
 // observability gauges (obs.KindSched), not deterministic totals.
 type PoolStats struct {
-	// Spans counts spans handed out by For/ForSpans (including the single
+	// Spans counts spans handed out by ForSpansCtx (including the single
 	// span of sequential fallbacks).
 	Spans int64
 	// HelperTasks counts tasks that ran on a helper goroutine.
@@ -172,37 +172,27 @@ func (b *panicBox) rethrow() {
 }
 
 // Done reports whether the context is non-nil and already cancelled. It is
-// the one nil-context check shared by every *Ctx variant in the stack
-// (cluster, core, experiment): a nil context never reports done, which is
-// what lets the facade document nil-ctx handling in a single place.
+// the one nil-context check shared by every ctx-taking entry point in the
+// stack (cluster, core, experiment): a nil context never reports done,
+// which is what lets the facade document nil-ctx handling in a single
+// place.
 func Done(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// done is the package-internal alias kept for call-site brevity.
-func done(ctx context.Context) bool { return Done(ctx) }
-
-// ForSpans splits [0, n) into at most Size() contiguous spans of at least
-// grain indices each and runs fn(lo, hi, span) for every span concurrently,
-// returning once all spans finished. Span indices are dense in [0, spans)
-// and ascend with the ranges they cover; the split depends only on
-// (n, grain, Size()). fn must confine its writes to its index range or to
-// span-indexed state. Returns the number of spans used.
-func (p *Pool) ForSpans(n, grain int, fn func(lo, hi, span int)) int {
-	spans, _ := p.forSpans(nil, n, grain, fn)
-	return spans
-}
-
-// ForSpansCtx is ForSpans under a context: spans not yet dispatched when
-// ctx is done are skipped, already-running spans drain, and the call
-// returns ctx.Err() (with the span count actually run). fn must check ctx
-// itself if individual spans are long.
+// ForSpansCtx splits [0, n) into at most Size() contiguous spans of at
+// least grain indices each and runs fn(lo, hi, span) for every span
+// concurrently, returning once all spans finished. Span indices are dense
+// in [0, spans) and ascend with the ranges they cover; the split depends
+// only on (n, grain, Size()). fn must confine its writes to its index
+// range or to span-indexed state. Returns the number of spans used.
+//
+// Spans not yet dispatched when ctx is done are skipped, already-running
+// spans drain, and the call returns ctx.Err() (with the span count
+// actually run). fn must check ctx itself if individual spans are long. A
+// nil ctx runs every span.
 func (p *Pool) ForSpansCtx(ctx context.Context, n, grain int, fn func(lo, hi, span int)) (int, error) {
-	return p.forSpans(ctx, n, grain, fn)
-}
-
-func (p *Pool) forSpans(ctx context.Context, n, grain int, fn func(lo, hi, span int)) (int, error) {
-	if n <= 0 || done(ctx) {
+	if n <= 0 || Done(ctx) {
 		if ctx != nil {
 			return 0, ctx.Err()
 		}
@@ -232,7 +222,7 @@ func (p *Pool) forSpans(ctx context.Context, n, grain int, fn func(lo, hi, span 
 		lo, hi, span := n*w/spans, n*(w+1)/spans, w
 		task := func() {
 			defer wg.Done()
-			if box.tripped() || done(ctx) {
+			if box.tripped() || Done(ctx) {
 				return
 			}
 			box.run(func() { fn(lo, hi, span) })
@@ -246,7 +236,7 @@ func (p *Pool) forSpans(ctx context.Context, n, grain int, fn func(lo, hi, span 
 		}
 	}
 	p.inlineTasks.Add(1)
-	if !box.tripped() && !done(ctx) {
+	if !box.tripped() && !Done(ctx) {
 		box.run(func() { fn(0, n/spans, 0) })
 	}
 	wg.Wait()
@@ -257,46 +247,15 @@ func (p *Pool) forSpans(ctx context.Context, n, grain int, fn func(lo, hi, span 
 	return spans, nil
 }
 
-// For runs fn(i) for every i in [0, n), sharded into contiguous spans of at
-// least grain indices. fn must confine its writes to per-index state.
-func (p *Pool) For(n, grain int, fn func(i int)) {
-	p.ForSpans(n, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// ForCtx is For under a context: the per-span index loops stop handing fn
-// new indices once ctx is done, and the call returns ctx.Err().
-func (p *Pool) ForCtx(ctx context.Context, n, grain int, fn func(i int)) error {
-	_, err := p.forSpans(ctx, n, grain, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			if done(ctx) {
-				return
-			}
-			fn(i)
-		}
-	})
-	return err
-}
-
-// Each runs fn(i) for every i in [0, n) with dynamic scheduling: workers
-// pull the next index from a shared atomic cursor, so long tasks do not
-// stall a whole span. Use for heterogeneous task durations. fn must confine
-// its writes to per-index state, which also keeps results deterministic.
-func (p *Pool) Each(n int, fn func(i int)) {
-	p.each(nil, n, fn)
-}
-
-// EachCtx is Each under a context: once ctx is done no further indices are
-// handed out, indices already running drain, and ctx.Err() is returned.
+// EachCtx runs fn(i) for every i in [0, n) with dynamic scheduling:
+// workers pull the next index from a shared atomic cursor, so long tasks do
+// not stall a whole span. Use for heterogeneous task durations. fn must
+// confine its writes to per-index state, which also keeps results
+// deterministic. Once ctx is done no further indices are handed out,
+// indices already running drain, and ctx.Err() is returned. A nil ctx runs
+// every index.
 func (p *Pool) EachCtx(ctx context.Context, n int, fn func(i int)) error {
-	return p.each(ctx, n, fn)
-}
-
-func (p *Pool) each(ctx context.Context, n int, fn func(i int)) error {
-	if n <= 0 || done(ctx) {
+	if n <= 0 || Done(ctx) {
 		if ctx != nil {
 			return ctx.Err()
 		}
@@ -304,7 +263,7 @@ func (p *Pool) each(ctx context.Context, n int, fn func(i int)) error {
 	}
 	if p.tasks == nil || n == 1 {
 		var box panicBox
-		for i := 0; i < n && !done(ctx) && !box.tripped(); i++ {
+		for i := 0; i < n && !Done(ctx) && !box.tripped(); i++ {
 			i := i
 			box.run(func() { fn(i) })
 		}
@@ -320,7 +279,7 @@ func (p *Pool) each(ctx context.Context, n int, fn func(i int)) error {
 		for {
 			// A tripped box or done context stops the hand-out; indices
 			// already running elsewhere drain on their own workers.
-			if box.tripped() || done(ctx) {
+			if box.tripped() || Done(ctx) {
 				return
 			}
 			i := int(cursor.Add(1)) - 1

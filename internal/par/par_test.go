@@ -24,7 +24,11 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 			for _, grain := range []int{1, 16, 512} {
 				hits := make([]int32, n)
-				p.For(n, grain, func(i int) { atomic.AddInt32(&hits[i], 1) })
+				p.ForSpansCtx(nil, n, grain, func(lo, hi, _ int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
 				for i, h := range hits {
 					if h != 1 {
 						t.Fatalf("workers=%d n=%d grain=%d: index %d hit %d times", workers, n, grain, i, h)
@@ -43,7 +47,7 @@ func TestForSpansPartition(t *testing.T) {
 		for _, grain := range []int{1, 10, 200} {
 			type span struct{ lo, hi int }
 			var mu [8]atomic.Pointer[span]
-			spans := p.ForSpans(n, grain, func(lo, hi, w int) {
+			spans, _ := p.ForSpansCtx(nil, n, grain, func(lo, hi, w int) {
 				mu[w].Store(&span{lo, hi})
 			})
 			if spans < 1 || spans > 4 {
@@ -78,7 +82,7 @@ func TestForSpansDeterministicSplit(t *testing.T) {
 	collect := func() []int {
 		var bounds []int
 		var mu [4]atomic.Int64
-		spans := p.ForSpans(100, 1, func(lo, hi, w int) { mu[w].Store(int64(lo)<<32 | int64(hi)) })
+		spans, _ := p.ForSpansCtx(nil, 100, 1, func(lo, hi, w int) { mu[w].Store(int64(lo)<<32 | int64(hi)) })
 		for w := 0; w < spans; w++ {
 			v := mu[w].Load()
 			bounds = append(bounds, int(v>>32), int(v&0xffffffff))
@@ -104,7 +108,7 @@ func TestEachCoversEveryIndexOnce(t *testing.T) {
 		p := New(workers)
 		for _, n := range []int{0, 1, 2, 33, 500} {
 			hits := make([]int32, n)
-			p.Each(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			p.EachCtx(nil, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("workers=%d n=%d: index %d hit %d times", workers, n, i, h)
@@ -120,7 +124,7 @@ func TestPoolReuseAcrossCalls(t *testing.T) {
 	defer p.Close()
 	var total atomic.Int64
 	for round := 0; round < 50; round++ {
-		p.For(100, 1, func(i int) { total.Add(1) })
+		p.ForSpansCtx(nil, 100, 1, func(lo, hi, _ int) { total.Add(int64(hi - lo)) })
 	}
 	if total.Load() != 5000 {
 		t.Fatalf("total = %d, want 5000", total.Load())

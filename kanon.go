@@ -209,7 +209,7 @@ func (t *Table) SensitiveValue(i int) string {
 
 // SetSensitive attaches a sensitive (private) attribute to the table: one
 // value per record, in record order. The sensitive attribute is never part
-// of the anonymized schema; it powers the Diversity option, ℓ-diversity
+// of the anonymized schema; it powers Options.Constraints, ℓ-diversity
 // checks, and candidate-diversity reporting.
 func (t *Table) SetSensitive(name string, values []string) error {
 	if len(values) != t.tbl.Len() {
@@ -260,19 +260,12 @@ type Options struct {
 	// (global-recoding) generalization for NotionK — the Incognito-style
 	// baseline the paper's Section II contrasts local recoding with.
 	FullDomain bool
-	// Diversity, when ≥ 2, additionally enforces distinct ℓ-diversity of
-	// the sensitive attribute: for NotionK every equivalence class, and for
-	// NotionKK every record's candidate set, carries at least Diversity
-	// distinct sensitive values. The table must have a sensitive attribute
-	// (the built-in benchmark datasets do; SetSensitive attaches one).
-	// Diversity is sugar for a single DistinctDiversity constraint; use
-	// Constraints for the other notions. Setting both is rejected.
-	Diversity int
 	// Constraints enforces privacy constraints on the sensitive attribute —
 	// DistinctDiversity, EntropyDiversity, RecursiveDiversity, Closeness —
 	// on top of the anonymity notion: for NotionK every equivalence class,
 	// and for NotionKK every record's candidate set, must satisfy each of
-	// them. The table must have a sensitive attribute. Supported for
+	// them. The table must have a sensitive attribute (the built-in
+	// benchmark datasets do; SetSensitive attaches one). Supported for
 	// NotionK (agglomerative) and NotionKK; audit the release with
 	// Result.ConstraintReport.
 	Constraints []Constraint
@@ -477,14 +470,10 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 	if opt.Measure == "" {
 		opt.Measure = MeasureEntropy
 	}
-	cons := effectiveConstraints(opt)
-	if len(cons) > 0 && t.sensitive == nil {
-		if opt.Diversity >= 2 {
-			return nil, optErr("Diversity", opt.Diversity, "requires a table with a sensitive attribute")
-		}
+	if len(opt.Constraints) > 0 && t.sensitive == nil {
 		return nil, optErr("Constraints", constraintString(opt.Constraints), "requires a table with a sensitive attribute")
 	}
-	clusterCons, err := buildConstraints(t, cons)
+	clusterCons, err := buildConstraints(t, opt.Constraints)
 	if err != nil {
 		return nil, err
 	}
@@ -576,12 +565,7 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 		if opt.UseNearest {
 			alg = core.K1ByNearest
 		}
-		var g *table.GenTable
-		if len(clusterCons) > 0 {
-			g, err = core.KKAnonymizeConstrainedCtx(ctx, s, t.tbl, opt.K, alg, clusterCons, t.sensitive, opt.Workers)
-		} else {
-			g, err = core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, opt.Workers)
-		}
+		g, err := core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, clusterCons, t.sensitive, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -591,7 +575,7 @@ func AnonymizeContext(ctx context.Context, t *Table, opt Options) (*Result, erro
 		if opt.UseNearest {
 			alg = core.K1ByNearest
 		}
-		g, err := core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, opt.Workers)
+		g, err := core.KKAnonymizeCtx(ctx, s, t.tbl, opt.K, alg, nil, nil, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -624,8 +608,8 @@ func (r *Result) LossUnder(name MeasureName) (float64, error) {
 // CandidateDiversity returns the minimum, over all original records, of
 // the number of distinct sensitive values among the released records
 // consistent with it — the first adversary's residual uncertainty about
-// the target's sensitive attribute (≥ Options.Diversity when that was
-// requested).
+// the target's sensitive attribute (≥ l when Options.Constraints held
+// DistinctDiversity(l) under NotionKK).
 func (r *Result) CandidateDiversity() (int, error) {
 	if r.table.sensitive == nil {
 		return 0, fmt.Errorf("kanon: table has no sensitive attribute")

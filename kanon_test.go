@@ -2,6 +2,7 @@ package kanon
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -334,7 +335,7 @@ func TestAnonymizeDiversity(t *testing.T) {
 	tbl := ART(120, 9)
 	const k, l = 4, 2
 	for _, notion := range []Notion{NotionK, NotionKK} {
-		res, err := Anonymize(tbl, Options{K: k, Notion: notion, Diversity: l})
+		res, err := Anonymize(tbl, Options{K: k, Notion: notion, Constraints: []Constraint{DistinctDiversity(l)}})
 		if err != nil {
 			t.Fatalf("%s: %v", notion, err)
 		}
@@ -352,13 +353,63 @@ func TestAnonymizeDiversity(t *testing.T) {
 			}
 		}
 	}
-	// Diversity without a sensitive attribute is an error.
+	// A constraint without a sensitive attribute is an error.
 	plain := loadFacadeTable(t)
-	if _, err := Anonymize(plain, Options{K: 2, Diversity: 2}); err == nil {
+	if _, err := Anonymize(plain, Options{K: 2, Constraints: []Constraint{DistinctDiversity(2)}}); err == nil {
 		t.Error("expected sensitive-attribute error")
 	}
-	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Forest: true, Diversity: 2}); err == nil {
+	if _, err := Anonymize(tbl, Options{K: 2, Notion: NotionK, Forest: true, Constraints: []Constraint{DistinctDiversity(2)}}); err == nil {
 		t.Error("expected diversity-with-baseline error")
+	}
+}
+
+// TestValidateRejectsIgnoredOptions pins that no option is silently
+// ignored: every option the selected pipeline would not read is rejected
+// with an *OptionsError naming it.
+func TestValidateRejectsIgnoredOptions(t *testing.T) {
+	cases := []struct {
+		name  string
+		opt   Options
+		field string
+	}{
+		{"max-chunk/kk", Options{K: 2, Notion: NotionKK, MaxChunk: 64}, "MaxChunk"},
+		{"max-chunk/default-notion", Options{K: 2, MaxChunk: 64}, "MaxChunk"},
+		{"max-chunk/global", Options{K: 2, Notion: NotionGlobal1K, MaxChunk: 64}, "MaxChunk"},
+		{"max-chunk/forest", Options{K: 2, Notion: NotionK, Forest: true, MaxChunk: 64}, "MaxChunk"},
+		{"max-chunk/full-domain", Options{K: 2, Notion: NotionK, FullDomain: true, MaxChunk: 64}, "MaxChunk"},
+		{"forest/kk", Options{K: 2, Notion: NotionKK, Forest: true}, "Forest"},
+		{"forest/global", Options{K: 2, Notion: NotionGlobal1K, Forest: true}, "Forest"},
+		{"full-domain/kk", Options{K: 2, Notion: NotionKK, FullDomain: true}, "FullDomain"},
+		{"full-domain/global", Options{K: 2, Notion: NotionGlobal1K, FullDomain: true}, "FullDomain"},
+		{"modified/kk", Options{K: 2, Notion: NotionKK, Modified: true}, "Modified"},
+		{"modified/global", Options{K: 2, Notion: NotionGlobal1K, Modified: true}, "Modified"},
+		{"modified/default-notion", Options{K: 2, Modified: true}, "Modified"},
+		{"nearest/k", Options{K: 2, Notion: NotionK, UseNearest: true}, "UseNearest"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.opt.Validate()
+			var oe *OptionsError
+			if !errors.As(err, &oe) {
+				t.Fatalf("Validate() = %v, want *OptionsError", err)
+			}
+			if oe.Field != tc.field {
+				t.Errorf("Field = %q, want %q (%v)", oe.Field, tc.field, err)
+			}
+		})
+	}
+	// The combinations each pipeline does read stay valid; Distance,
+	// NoKernel and Workers are accepted under every notion.
+	for _, opt := range []Options{
+		{K: 2, Notion: NotionK, MaxChunk: 64, Modified: true},
+		{K: 2, Notion: NotionK, Forest: true},
+		{K: 2, Notion: NotionK, FullDomain: true},
+		{K: 2, Notion: NotionKK, UseNearest: true, Distance: "d3", NoKernel: true, Workers: 4},
+		{K: 2, Notion: NotionGlobal1K, UseNearest: true, Distance: "d3"},
+	} {
+		if err := opt.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", opt, err)
+		}
 	}
 }
 
@@ -372,8 +423,8 @@ func TestAnonymizePartitioned(t *testing.T) {
 	if !res.Verify(k).KAnonymous {
 		t.Error("partitioned output not k-anonymous")
 	}
-	if _, err := Anonymize(tbl, Options{K: k, Notion: NotionK, MaxChunk: 80, Diversity: 2}); err == nil {
-		t.Error("expected MaxChunk+Diversity exclusion error")
+	if _, err := Anonymize(tbl, Options{K: k, Notion: NotionK, MaxChunk: 80, Constraints: []Constraint{DistinctDiversity(2)}}); err == nil {
+		t.Error("expected MaxChunk+Constraints exclusion error")
 	}
 }
 

@@ -176,10 +176,9 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 // TestGlobalCountersSurvivedDeprecation pins the completed deprecation:
-// Result.UpgradeStats is gone (kanonlint's deprecated-API analyzer forbids
-// reintroducing it), and the core.global.* counters of Stats() — its
-// documented replacement — still carry the Algorithm 6 work summary for a
-// global run.
+// Result.UpgradeStats is gone, and the core.global.* counters of Stats() —
+// its documented replacement — still carry the Algorithm 6 work summary
+// for a global run.
 func TestGlobalCountersSurvivedDeprecation(t *testing.T) {
 	tbl := Adult(120, 3)
 	res, err := Anonymize(tbl, Options{K: 6, Notion: NotionGlobal1K})
@@ -203,12 +202,12 @@ func TestValidateOptions(t *testing.T) {
 		{K: 2, Notion: NotionKK, Measure: MeasureLM, Distance: "d1"},
 		{K: 3, Notion: NotionK, MaxChunk: 100, Workers: 4},
 		{K: 3, Notion: NotionK, Forest: true},
-		{K: 3, Notion: NotionKK, Diversity: 2},
-		{K: 3, MaxChunk: 100, RetryPolicy: DefaultRetryPolicy()},
-		{K: 3, MaxChunk: 100, RetryPolicy: &RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond, BackoffMax: time.Second}},
-		{K: 3, MaxChunk: 100, ShardDeadline: time.Minute},
-		{K: 3, MaxChunk: 100, OnShard: func(ShardCheckpoint) {}},
-		{K: 3, MaxChunk: 100, CompletedShards: []ShardCheckpoint{{Shard: 0}}},
+		{K: 3, Notion: NotionKK, Constraints: []Constraint{DistinctDiversity(2)}},
+		{K: 3, Notion: NotionK, MaxChunk: 100, RetryPolicy: DefaultRetryPolicy()},
+		{K: 3, Notion: NotionK, MaxChunk: 100, RetryPolicy: &RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond, BackoffMax: time.Second}},
+		{K: 3, Notion: NotionK, MaxChunk: 100, ShardDeadline: time.Minute},
+		{K: 3, Notion: NotionK, MaxChunk: 100, OnShard: func(ShardCheckpoint) {}},
+		{K: 3, Notion: NotionK, MaxChunk: 100, CompletedShards: []ShardCheckpoint{{Shard: 0}}},
 	}
 	for _, opt := range valid {
 		if err := opt.Validate(); err != nil {
@@ -225,17 +224,14 @@ func TestValidateOptions(t *testing.T) {
 		{Options{K: 2, Measure: "bogus"}, "Measure"},
 		{Options{K: 2, Distance: "bogus"}, "Distance"},
 		{Options{K: 2, Forest: true, FullDomain: true}, "Forest"},
-		{Options{K: 2, Forest: true, Diversity: 2}, "Diversity"},
-		{Options{K: 2, FullDomain: true, Diversity: 2}, "Diversity"},
-		{Options{K: 2, MaxChunk: 50, Diversity: 2}, "Diversity"},
 		{Options{K: 2, ShardDeadline: -time.Second}, "ShardDeadline"},
 		{Options{K: 2, RetryPolicy: DefaultRetryPolicy()}, "RetryPolicy"},
 		{Options{K: 2, ShardDeadline: time.Minute}, "ShardDeadline"},
 		{Options{K: 2, OnShard: func(ShardCheckpoint) {}}, "OnShard"},
 		{Options{K: 2, CompletedShards: []ShardCheckpoint{{Shard: 0}}}, "CompletedShards"},
-		{Options{K: 2, MaxChunk: 50, RetryPolicy: &RetryPolicy{MaxAttempts: -1}}, "RetryPolicy"},
-		{Options{K: 2, MaxChunk: 50, RetryPolicy: &RetryPolicy{Backoff: -time.Second}}, "RetryPolicy"},
-		{Options{K: 2, MaxChunk: 50, RetryPolicy: &RetryPolicy{Backoff: time.Second, BackoffMax: time.Millisecond}}, "RetryPolicy"},
+		{Options{K: 2, Notion: NotionK, MaxChunk: 50, RetryPolicy: &RetryPolicy{MaxAttempts: -1}}, "RetryPolicy"},
+		{Options{K: 2, Notion: NotionK, MaxChunk: 50, RetryPolicy: &RetryPolicy{Backoff: -time.Second}}, "RetryPolicy"},
+		{Options{K: 2, Notion: NotionK, MaxChunk: 50, RetryPolicy: &RetryPolicy{Backoff: time.Second, BackoffMax: time.Millisecond}}, "RetryPolicy"},
 	}
 	for _, tc := range invalid {
 		err := tc.opt.Validate()

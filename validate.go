@@ -46,7 +46,8 @@ func constraintString(cons []Constraint) string {
 // Validate checks the options without running anything, returning a typed
 // *OptionsError for the first problem found (nil when the options are
 // usable). Zero values that select a documented default ("" Notion/Measure/
-// Distance, 0 Workers/MaxChunk/Diversity) are valid. Anonymize and
+// Distance, 0 Workers/MaxChunk) are valid. No option is silently ignored:
+// one that the selected pipeline would not read is rejected. Anonymize and
 // AnonymizeContext call Validate themselves; calling it separately lets a
 // CLI reject a flag before loading any data.
 func (opt Options) Validate() error {
@@ -70,25 +71,6 @@ func (opt Options) Validate() error {
 	if opt.Forest && opt.FullDomain {
 		return optErr("Forest", opt.Forest, "mutually exclusive with FullDomain")
 	}
-	if opt.Diversity >= 2 {
-		if opt.Forest {
-			return optErr("Diversity", opt.Diversity, "not supported with the forest baseline")
-		}
-		if opt.FullDomain {
-			return optErr("Diversity", opt.Diversity, "not supported with the full-domain baseline")
-		}
-		if opt.MaxChunk > 0 {
-			return optErr("Diversity", opt.Diversity, "cannot be combined with MaxChunk")
-		}
-		if opt.Notion == NotionGlobal1K {
-			return optErr("Diversity", opt.Diversity,
-				"not supported with NotionGlobal1K (the global pipeline ignores constraints; it would silently weaken the guarantee)")
-		}
-		if len(opt.Constraints) > 0 {
-			return optErr("Constraints", constraintString(opt.Constraints),
-				"conflicts with Diversity (its DistinctDiversity sugar); set one or the other")
-		}
-	}
 	if len(opt.Constraints) > 0 {
 		for i, c := range opt.Constraints {
 			if c == nil {
@@ -111,6 +93,30 @@ func (opt Options) Validate() error {
 			return optErr("Constraints", constraintString(opt.Constraints),
 				"not supported with NotionGlobal1K (the global pipeline ignores constraints; it would silently weaken the guarantee)")
 		}
+	}
+	notion := opt.Notion
+	if notion == "" {
+		notion = NotionKK
+	}
+	if notion != NotionK {
+		// These select or configure a NotionK algorithm; the (k,k) and
+		// global pipelines would ignore them.
+		switch {
+		case opt.Forest:
+			return optErr("Forest", opt.Forest, "requires NotionK")
+		case opt.FullDomain:
+			return optErr("FullDomain", opt.FullDomain, "requires NotionK")
+		case opt.Modified:
+			return optErr("Modified", opt.Modified, "requires NotionK")
+		case opt.MaxChunk > 0:
+			return optErr("MaxChunk", opt.MaxChunk, "requires NotionK (the (k,k) and global pipelines do not partition)")
+		}
+	}
+	if opt.MaxChunk > 0 && (opt.Forest || opt.FullDomain) {
+		return optErr("MaxChunk", opt.MaxChunk, "not supported with the forest or full-domain baseline")
+	}
+	if opt.UseNearest && notion == NotionK {
+		return optErr("UseNearest", opt.UseNearest, "seeds the (k,k) and global pipelines; NotionK does not read it")
 	}
 	if opt.ShardDeadline < 0 {
 		return optErr("ShardDeadline", opt.ShardDeadline, "must be ≥ 0")
