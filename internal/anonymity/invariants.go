@@ -91,10 +91,11 @@ func VerifyClaim(s *cluster.Space, tbl *table.Table, g *table.GenTable, k int, c
 			return fmt.Errorf("output is not (%d,1)-anonymous", k)
 		}
 	case ClaimKK:
-		if !Is1K(s, tbl, g, k) {
+		gr := BuildGraph(s, tbl, g)
+		if !is1K(gr, k) {
 			return fmt.Errorf("output is not (1,%d)-anonymous, so not (%d,%d)-anonymous", k, k, k)
 		}
-		if !IsK1(s, tbl, g, k) {
+		if !isK1(gr, k) {
 			return fmt.Errorf("output is not (%d,1)-anonymous, so not (%d,%d)-anonymous", k, k, k)
 		}
 	case ClaimGlobal1K:

@@ -1,9 +1,10 @@
-package anonymity
+package anonymity_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
 	"kanon/internal/core"
 	"kanon/internal/hierarchy"
@@ -59,11 +60,11 @@ func TestInvariantsAgglomerate(t *testing.T) {
 						if err != nil {
 							t.Fatalf("seed=%d n=%d k=%d modified=%v workers=%d: %v", seed, n, k, modified, workers, err)
 						}
-						if err := VerifyClustering(s, tbl, clusters, k); err != nil {
+						if err := anonymity.VerifyClustering(s, tbl, clusters, k); err != nil {
 							t.Errorf("seed=%d n=%d k=%d modified=%v workers=%d: %v", seed, n, k, modified, workers, err)
 						}
 						g := cluster.ToGenTable(tbl.Schema, tbl.Len(), clusters)
-						if err := VerifyClaim(s, tbl, g, k, ClaimK); err != nil {
+						if err := anonymity.VerifyClaim(s, tbl, g, k, anonymity.ClaimK); err != nil {
 							t.Errorf("seed=%d n=%d k=%d modified=%v workers=%d: %v", seed, n, k, modified, workers, err)
 						}
 					}
@@ -83,10 +84,10 @@ func TestInvariantsForest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed=%d k=%d: %v", seed, k, err)
 			}
-			if err := VerifyClustering(s, tbl, clusters, k); err != nil {
+			if err := anonymity.VerifyClustering(s, tbl, clusters, k); err != nil {
 				t.Errorf("seed=%d k=%d: %v", seed, k, err)
 			}
-			if err := VerifyClaim(s, tbl, g, k, ClaimK); err != nil {
+			if err := anonymity.VerifyClaim(s, tbl, g, k, anonymity.ClaimK); err != nil {
 				t.Errorf("seed=%d k=%d: %v", seed, k, err)
 			}
 		}
@@ -104,14 +105,14 @@ func TestInvariantsK1(t *testing.T) {
 				if err != nil {
 					t.Fatalf("nearest seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
-				if err := VerifyClaim(s, tbl, gn, k, ClaimK1); err != nil {
+				if err := anonymity.VerifyClaim(s, tbl, gn, k, anonymity.ClaimK1); err != nil {
 					t.Errorf("nearest seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
 				ge, err := core.K1ExpandCtx(nil, s, tbl, k, workers)
 				if err != nil {
 					t.Fatalf("expand seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
-				if err := VerifyClaim(s, tbl, ge, k, ClaimK1); err != nil {
+				if err := anonymity.VerifyClaim(s, tbl, ge, k, anonymity.ClaimK1); err != nil {
 					t.Errorf("expand seed=%d k=%d workers=%d: %v", seed, k, workers, err)
 				}
 			}
@@ -130,7 +131,7 @@ func TestInvariantsKK(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed=%d k=%d workers=%d: %v", alg, seed, k, workers, err)
 					}
-					if err := VerifyClaim(s, tbl, g, k, ClaimKK); err != nil {
+					if err := anonymity.VerifyClaim(s, tbl, g, k, anonymity.ClaimKK); err != nil {
 						t.Errorf("%s seed=%d k=%d workers=%d: %v", alg, seed, k, workers, err)
 					}
 				}
@@ -148,7 +149,7 @@ func TestVerifyClusteringRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyClustering(s, tbl, good, 4); err != nil {
+	if err := anonymity.VerifyClustering(s, tbl, good, 4); err != nil {
 		t.Fatalf("valid clustering rejected: %v", err)
 	}
 
@@ -187,7 +188,7 @@ func TestVerifyClusteringRejects(t *testing.T) {
 	}
 	for _, b := range breakers {
 		cs := b.mut(append([]*cluster.Cluster(nil), good...))
-		if err := VerifyClustering(s, tbl, cs, 4); err == nil {
+		if err := anonymity.VerifyClustering(s, tbl, cs, 4); err == nil {
 			t.Errorf("%s clustering passed verification", b.name)
 		}
 	}
