@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
 	"kanon/internal/table"
 )
@@ -61,6 +62,7 @@ func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOu
 			return nil, fmt.Errorf("attack: release %d has %d records, %d released rows, %d ids",
 				ri, n, rel.Gen.Len(), len(rel.IDs))
 		}
+		gr := anonymity.BuildGraph(rel.Space, rel.Tbl, rel.Gen)
 		seen := make(map[int]bool, n)
 		for u := 0; u < n; u++ {
 			id := rel.IDs[u]
@@ -74,10 +76,8 @@ func SimulateIntersection(releases []Release, sensitive []int) ([]IntersectionOu
 			// The first adversary's candidate set within this release,
 			// mapped to individual ids and sorted.
 			var cand []int
-			for j := 0; j < n; j++ {
-				if rel.Space.Consistent(rel.Tbl.Records[u], rel.Gen.Records[j]) {
-					cand = append(cand, rel.IDs[j])
-				}
+			for _, j := range gr.Neighbors(u) {
+				cand = append(cand, rel.IDs[j])
 			}
 			sort.Ints(cand)
 			if releaseCount[id] == 0 {

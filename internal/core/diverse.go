@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"kanon/internal/anonymity"
 	"kanon/internal/cluster"
 	"kanon/internal/table"
 )
@@ -20,13 +21,12 @@ func CandidateDiversity(s *cluster.Space, tbl *table.Table, g *table.GenTable, s
 	if len(sensitive) != n {
 		return nil, fmt.Errorf("core: %d sensitive values for %d records", len(sensitive), n)
 	}
+	gr := anonymity.BuildGraph(s, tbl, g)
 	out := make([]int, n)
-	for i, ri := range tbl.Records {
+	for i := range out {
 		values := make(map[int]bool)
-		for j := 0; j < n; j++ {
-			if s.Consistent(ri, g.Records[j]) {
-				values[sensitive[j]] = true
-			}
+		for _, j := range gr.Neighbors(i) {
+			values[sensitive[j]] = true
 		}
 		out[i] = len(values)
 	}
