@@ -226,8 +226,14 @@ func newSpace(ds *datagen.Dataset, m MeasureKind) (*cluster.Space, loss.Measure,
 	return s, meas, nil
 }
 
+// logMu serializes progress lines: pool workers log concurrently and
+// Config.Log need not be safe for concurrent use.
+var logMu sync.Mutex
+
 func (c Config) logf(format string, args ...interface{}) {
 	if c.Log != nil {
+		logMu.Lock()
+		defer logMu.Unlock()
 		fmt.Fprintf(c.Log, format+"\n", args...)
 	}
 }
