@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kanon/internal/anonymity"
+	"kanon/internal/bipartite"
 	"kanon/internal/cluster"
 	"kanon/internal/hierarchy"
 	"kanon/internal/loss"
@@ -372,6 +373,139 @@ func TestMakeGlobal1KPostcondition(t *testing.T) {
 		}
 		if stats.DeficientRecords == 0 && stats.GeneralizationSteps != 0 {
 			t.Fatalf("trial %d: steps without deficiencies", trial)
+		}
+	}
+}
+
+// denseGlobal1K is Algorithm 6 as it ran on a dense n×n consistency
+// matrix: the graph is rebuilt in ascending j from the matrix for every
+// matching, and the candidate scan runs over j ascending with a strict
+// improvement test. It is the byte reference for the sparse
+// implementation, and returns nil where a record runs out of non-match
+// neighbours.
+func denseGlobal1K(t *testing.T, s *cluster.Space, tbl *table.Table, g *table.GenTable, k int) *table.GenTable {
+	t.Helper()
+	n, r := tbl.Len(), s.NumAttrs()
+	cons := make([][]bool, n)
+	for i := range cons {
+		cons[i] = make([]bool, n)
+		for j := range cons[i] {
+			cons[i][j] = s.Consistent(tbl.Records[i], g.Records[j])
+		}
+	}
+	matches := func() [][]int {
+		gr := bipartite.New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if cons[i][j] {
+					gr.AddEdge(i, j)
+				}
+			}
+		}
+		allowed, err := bipartite.AllowedEdges(gr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allowed
+	}
+	allowed := matches()
+	for i := 0; i < n; i++ {
+		for len(allowed[i]) < k {
+			isMatch := map[int]bool{}
+			for _, v := range allowed[i] {
+				isMatch[v] = true
+			}
+			bestJ, bestDelta := -1, math.Inf(1)
+			gi := g.Records[i]
+			for j := 0; j < n; j++ {
+				if !cons[i][j] || isMatch[j] {
+					continue
+				}
+				sum := 0.0
+				for a := 0; a < r; a++ {
+					h := s.Hiers[a]
+					sum += s.CostAt(a, h.LCA(gi[a], h.LeafOf(tbl.Records[j][a]))) - s.CostAt(a, gi[a])
+				}
+				if delta := sum / float64(r); delta < bestDelta {
+					bestJ, bestDelta = j, delta
+				}
+			}
+			if bestJ < 0 {
+				return nil
+			}
+			for a := 0; a < r; a++ {
+				h := s.Hiers[a]
+				gi[a] = h.LCA(gi[a], h.LeafOf(tbl.Records[bestJ][a]))
+			}
+			for u := 0; u < n; u++ {
+				cons[u][i] = cons[u][i] || s.Consistent(tbl.Records[u], gi)
+			}
+			allowed = matches()
+		}
+	}
+	return g
+}
+
+// TestMakeGlobal1KMatchesDenseReference: the sparse Algorithm 6 widens the
+// same records towards the same neighbours as the dense-matrix reference.
+// Inputs are (k,k) releases and random positional generalizations (many
+// deficient records, so edges are added out of order before their rows are
+// scanned). The all-flat space under LM makes equal-cost widenings towards
+// different records common, which exercises the (delta, j) tie-break.
+func TestMakeGlobal1KMatchesDenseReference(t *testing.T) {
+	flatSchema := table.MustSchema(
+		table.MustAttribute("a", []string{"0", "1", "2"}),
+		table.MustAttribute("b", []string{"x", "y", "z"}),
+		table.MustAttribute("c", []string{"p", "q"}),
+	)
+	flat := []*hierarchy.Hierarchy{hierarchy.Flat(3), hierarchy.Flat(3), hierarchy.Flat(2)}
+	flatSpace, err := cluster.NewSpace(flat, loss.NewLM(flat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 90; trial++ {
+		s, tbl := flatSpace, table.New(flatSchema)
+		switch trial % 3 {
+		case 0:
+			s, tbl = testSpace(t, rng, 12+rng.Intn(30), "lm")
+		case 1:
+			s, tbl = testSpace(t, rng, 12+rng.Intn(30), "entropy")
+		default:
+			for i := 4 + rng.Intn(9); i > 0; i-- {
+				tbl.MustAppend(table.Record{rng.Intn(3), rng.Intn(3), rng.Intn(2)})
+			}
+		}
+		k := 2 + rng.Intn(3)
+		g := table.NewGen(tbl.Schema, tbl.Len())
+		if trial%3 == 0 {
+			if g, err = KKAnonymizeCtx(nil, s, tbl, k, K1ByNearest, nil, nil, 1); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for i, rec := range tbl.Records {
+				for a, v := range rec {
+					node := s.Hiers[a].LeafOf(v)
+					for up := rng.Intn(3); up > 0 && node != s.Hiers[a].Root(); up-- {
+						node = s.Hiers[a].Parent(node)
+					}
+					g.Records[i][a] = node
+				}
+			}
+		}
+		want := denseGlobal1K(t, s, tbl, g.Clone(), k)
+		got, _, err := MakeGlobal1KCtx(nil, s, tbl, g, k)
+		if (err != nil) != (want == nil) {
+			t.Fatalf("trial %d: err = %v, dense reference failed: %v", trial, err, want == nil)
+		}
+		if want == nil {
+			continue
+		}
+		for i := range want.Records {
+			if !got.Records[i].Equal(want.Records[i]) {
+				t.Fatalf("trial %d (n=%d, k=%d): record %d widened to %v, dense reference %v",
+					trial, tbl.Len(), k, i, got.Records[i], want.Records[i])
+			}
 		}
 	}
 }
